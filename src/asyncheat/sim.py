@@ -3,7 +3,7 @@
 The simulator works on buffered grid states (O(Nnq) memory per run), never
 on explicit mode matrices; trajectories are vectorized across ensemble
 runs. Each run owns an independent, deterministically derived random
-stream, so results do not depend on how runs are batched.
+stream, so no run's trajectory depends on how runs are batched.
 """
 
 from __future__ import annotations
@@ -84,52 +84,71 @@ def init_state(initial: np.ndarray, q: int) -> AsyncSimState:
 
 
 class _StencilPlan:
-    """Precomputed index arrays for the vectorized buffered update."""
+    """Precomputed gather indices for the buffered update of ``runs`` runs.
 
-    def __init__(self, aspec: AugmentedSpec):
+    A neighbour read is within-PE, a delay-0 read of the newest block,
+    unless a cross-PE edge supplies it. Per side (left, right), ``cols``
+    are the supplying edges, ``pos`` the interior positions they feed and
+    ``base`` the flat (runs, q, Nn) history index of their delay-0 read,
+    so a read with delay d sits at ``d * Nn + base``.
+    """
+
+    def __init__(self, aspec: AugmentedSpec, runs: int):
         g = aspec.grid
         nn = g.total_points
-        interior = np.arange(1, nn - 1)
-        edge_index = {edge: e for e, edge in enumerate(aspec.edges)}
-        # per interior point: index of the edge supplying each neighbor
-        # read, or -1 when the read is within-PE (delay 0)
-        left_edge = np.array(
-            [edge_index.get((i, i - 1), -1) for i in interior]
-        )
-        right_edge = np.array(
-            [edge_index.get((i, i + 1), -1) for i in interior]
-        )
+        q = aspec.buffer_len
+        run_offset = np.arange(runs)[:, None] * (q * nn)
         self.nn = nn
-        self.q = aspec.buffer_len
         self.r = g.r
-        self.interior = interior
-        self.left_edge = left_edge
-        self.right_edge = right_edge
         self.num_edges = aspec.num_edges
+        self.sides = []
+        for shift in (-1, 1):
+            picked = [
+                (e, i) for e, (i, nb) in enumerate(aspec.edges)
+                if nb == i + shift
+            ]
+            cols = np.array([e for e, _ in picked], dtype=np.intp)
+            points = np.array([i for _, i in picked], dtype=np.intp)
+            self.sides.append((cols, points - 1, run_offset + points + shift))
+        # neighbour reads of the interior, rebuilt every step
+        self.reads = np.empty((2, runs, nn - 2))
 
 
-def _advance(hist: np.ndarray, delays: np.ndarray, plan: _StencilPlan) -> np.ndarray:
-    """One buffered update for a batch: hist is (runs, q, Nn)."""
-    runs = hist.shape[0]
-    n_int = plan.interior.shape[0]
-    dl = np.zeros((runs, n_int), dtype=np.intp)
-    dr = np.zeros((runs, n_int), dtype=np.intp)
-    lmask = plan.left_edge >= 0
-    rmask = plan.right_edge >= 0
-    dl[:, lmask] = delays[:, plan.left_edge[lmask]]
-    dr[:, rmask] = delays[:, plan.right_edge[rmask]]
-    rows = np.arange(runs)[:, None]
-    left = hist[rows, dl, (plan.interior - 1)[None, :]]
-    right = hist[rows, dr, (plan.interior + 1)[None, :]]
-    new = hist[:, 0].copy()  # Dirichlet endpoints carried over
-    new[:, plan.interior] = (
-        (1.0 - 2.0 * plan.r) * hist[:, 0, plan.interior]
-        + plan.r * left
-        + plan.r * right
-    )
-    out = np.empty_like(hist)
-    out[:, 0] = new
+def _advance(
+    hist: np.ndarray, out: np.ndarray, delays: np.ndarray, plan: _StencilPlan
+) -> None:
+    """One buffered update of a batch, written into ``out``.
+
+    ``hist`` and ``out`` are distinct (runs, q, Nn) arrays; ``delays`` is
+    (runs, num_edges). The sum keeps the operand order
+    (1-2r)*u_i + r*left + r*right of the mode matrix product.
+    """
+    nn = plan.nn
+    flat = hist.reshape(-1)
+    for shift, (cols, pos, base), read in zip((-1, 1), plan.sides, plan.reads):
+        np.copyto(read, hist[:, 0, 1 + shift:nn - 1 + shift])
+        idx = delays[:, cols].astype(np.intp)
+        idx *= nn
+        idx += base
+        read[:, pos] = flat.take(idx)
+        read *= plan.r
+    new = out[:, 0, 1:-1]
+    np.multiply(hist[:, 0, 1:-1], 1.0 - 2.0 * plan.r, out=new)
+    new += plan.reads[0]
+    new += plan.reads[1]
+    out[:, 0, ::nn - 1] = hist[:, 0, ::nn - 1]  # Dirichlet endpoints
     out[:, 1:] = hist[:, :-1]
+
+
+def _count_delays(u: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per-edge categorical delays from uniforms, written into ``out``.
+
+    The last axis of ``u`` runs over edges; each draw's delay is the
+    number of its edge's thresholds cdf[e, :-1] that it reaches.
+    """
+    out[...] = 0
+    for j in range(cdf.shape[1] - 1):
+        out += u >= cdf[:, j]
     return out
 
 
@@ -137,7 +156,7 @@ def sample_delays(rng: np.random.Generator, dist: SwitchingDistribution) -> np.n
     """Draw one delay per edge from the per-edge categoricals."""
     cdf = dist.cdf
     u = rng.random(cdf.shape[0])
-    return (u[:, None] >= cdf[:, :-1]).sum(axis=1)
+    return _count_delays(u, cdf, np.empty(u.shape, dtype=np.intp))
 
 
 def async_step(
@@ -151,9 +170,12 @@ def async_step(
     delays = np.asarray(delays, dtype=np.intp).ravel()
     if delays.shape[0] != aspec.num_edges:
         raise ValueError("pattern length does not match aspec")
-    plan = _StencilPlan(aspec)
-    hist = _advance(state.history[None, :, :], delays[None, :], plan)[0]
-    return AsyncSimState(history=hist, step=state.step + 1)
+    if np.any((delays < 0) | (delays >= aspec.buffer_len)):
+        raise ValueError(f"delays must lie in [0, {aspec.buffer_len - 1}]")
+    hist = state.history[None]
+    out = np.empty(hist.shape)
+    _advance(hist, out, delays[None, :], _StencilPlan(aspec, 1))
+    return AsyncSimState(history=out[0], step=state.step + 1)
 
 
 @dataclass(frozen=True)
@@ -219,18 +241,25 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=()):
     newest grid state of run 0 at the requested steps.
     """
     aspec = cfg.aspec
-    plan = _StencilPlan(aspec)
     runs = len(seeds)
-    q, nn = aspec.buffer_len, plan.nn
-    d = aspec.dim
+    plan = _StencilPlan(aspec, runs)
+    q, d = aspec.buffer_len, aspec.dim
     ramp = steady_state_profile(aspec.grid, cfg.bc)
     xss = np.tile(ramp, q)
 
     hist = np.tile(cfg.initial, (runs, q, 1))
+    spare = hist.copy()
     rngs = [np.random.default_rng(s) for s in seeds]
     cdf = cfg.dist.cdf
-
     steps = cfg.steps
+    chunk_steps = min(_CHUNK_STEPS, steps)
+    u = np.empty((chunk_steps, plan.num_edges))
+    delays = np.empty(
+        (chunk_steps, runs, plan.num_edges), dtype=np.min_scalar_type(q - 1)
+    )
+    err = np.empty((runs, d))
+    sq = np.empty((runs, d))
+
     error_norms = np.empty((runs, steps + 1))
     inf_norms = np.empty((runs, steps + 1))
     sum_error = np.empty((steps + 1, d))
@@ -239,11 +268,13 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=()):
     snapshots: dict[int, np.ndarray] = {}
 
     def record(k):
-        err = hist.reshape(runs, d) - xss
-        error_norms[:, k] = np.linalg.norm(err, axis=1)
-        inf_norms[:, k] = np.abs(err).max(axis=1)
-        sum_error[k] = err.sum(axis=0)
-        sumsq_error[k] = (err**2).sum(axis=0)
+        # the norm is np.linalg.norm(err, axis=1) spelled out, sharing sq
+        np.subtract(hist.reshape(runs, d), xss, out=err)
+        np.multiply(err, err, out=sq)
+        error_norms[:, k] = np.sqrt(np.add.reduce(sq, axis=1))
+        np.add.reduce(sq, axis=0, out=sumsq_error[k])
+        np.add.reduce(err, axis=0, out=sum_error[k])
+        inf_norms[:, k] = np.abs(err, out=err).max(axis=1)
         if k in snapshot_steps:
             snapshots[k] = hist[0, 0].copy()
 
@@ -251,13 +282,12 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=()):
     k = 0
     while k < steps:
         chunk = min(_CHUNK_STEPS, steps - k)
-        if plan.num_edges > 0:
-            u = np.stack([rng.random((chunk, plan.num_edges)) for rng in rngs])
-            delays = (u[..., None] >= cdf[None, None, :, :-1]).sum(axis=-1)
-        else:
-            delays = np.zeros((runs, chunk, 0), dtype=np.intp)
+        for i, rng in enumerate(rngs):
+            rng.random(out=u[:chunk])
+            _count_delays(u[:chunk], cdf, delays[:chunk, i])
         for t in range(chunk):
-            hist = _advance(hist, delays[:, t], plan)
+            _advance(hist, spare, delays[t], plan)
+            hist, spare = spare, hist
             k += 1
             record(k)
     return error_norms, inf_norms, sum_error, sumsq_error, snapshots
@@ -282,8 +312,10 @@ def run_ensemble(
     """Seeded ensemble; run i uses a counter-derived seed from cfg.seed.
 
     Runs are partitioned into batches; batches may execute on a thread
-    pool. Per-run streams are independent, so the partition does not
-    affect the result.
+    pool. Per-run streams are independent, so the per-run norms do not
+    depend on the partition. The mean and variance do in the last bits,
+    since batch sums are added in batch order; the thread count changes
+    nothing.
     """
     if num_runs < 1:
         raise ValueError("num_runs must be >= 1")

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 import asyncheat as ah
+from asyncheat import sim
+from asyncheat.grid import steady_state_profile
 from asyncheat.sim import run_seed_sequence
 from conftest import exact_spec
 
 
-def make_config(num_pes=5, q=2, steps=50, seed=7, **kw):
-    spec = exact_spec(num_pes)
+def make_config(num_pes=5, q=2, steps=50, seed=7, points_per_pe=1, r=0.5,
+                **kw):
+    spec = exact_spec(num_pes, points_per_pe, r)
     aspec = ah.AugmentedSpec(grid=spec, buffer_len=q)
     dist = kw.pop("dist", None) or ah.SwitchingDistribution.uniform(aspec)
     initial = kw.pop("initial", None)
@@ -76,6 +79,13 @@ class TestState:
         state = ah.init_state(np.zeros(4), 2)
         with pytest.raises(ValueError):
             ah.async_step(state, (0,), aspec)
+
+    def test_rejects_out_of_range_delays(self):
+        aspec = ah.AugmentedSpec(grid=exact_spec(4), buffer_len=2)
+        state = ah.init_state(np.zeros(4), 2)
+        for delays in [(0, 2, 0, 0), (0, -1, 0, 0)]:
+            with pytest.raises(ValueError):
+                ah.async_step(state, delays, aspec)
 
 
 class TestSampleDelays:
@@ -184,6 +194,9 @@ class TestEnsemble:
             assert np.allclose(
                 ref.mean_error, other.mean_error, rtol=0, atol=1e-15
             )
+        # the cross-batch sum depends on the partition, not on the workers
+        assert np.array_equal(small.mean_error, threaded.mean_error)
+        assert np.array_equal(small.var_error, threaded.var_error)
 
     def test_run_order_is_stable(self):
         """Run i's trajectory is a function of (seed, i) only."""
@@ -230,6 +243,151 @@ class TestEnsemble:
         assert np.allclose(
             res.mean_error[-1], np.mean(finals, axis=0), rtol=0, atol=1e-15
         )
+
+
+# Reference engine: the per-step fancy-indexed update and broadcast-compare
+# delay sampling that the batch engine replaced. The batch engine must
+# reproduce its outputs bit for bit.
+_REF_CHUNK_STEPS = 256
+
+
+class _RefStencilPlan:
+    """Precomputed index arrays for the vectorized buffered update."""
+
+    def __init__(self, aspec):
+        g = aspec.grid
+        nn = g.total_points
+        interior = np.arange(1, nn - 1)
+        edge_index = {edge: e for e, edge in enumerate(aspec.edges)}
+        # per interior point: index of the edge supplying each neighbor
+        # read, or -1 when the read is within-PE (delay 0)
+        left_edge = np.array(
+            [edge_index.get((i, i - 1), -1) for i in interior]
+        )
+        right_edge = np.array(
+            [edge_index.get((i, i + 1), -1) for i in interior]
+        )
+        self.nn = nn
+        self.q = aspec.buffer_len
+        self.r = g.r
+        self.interior = interior
+        self.left_edge = left_edge
+        self.right_edge = right_edge
+        self.num_edges = aspec.num_edges
+
+
+def _ref_advance(hist, delays, plan):
+    """One buffered update for a batch: hist is (runs, q, Nn)."""
+    runs = hist.shape[0]
+    n_int = plan.interior.shape[0]
+    dl = np.zeros((runs, n_int), dtype=np.intp)
+    dr = np.zeros((runs, n_int), dtype=np.intp)
+    lmask = plan.left_edge >= 0
+    rmask = plan.right_edge >= 0
+    dl[:, lmask] = delays[:, plan.left_edge[lmask]]
+    dr[:, rmask] = delays[:, plan.right_edge[rmask]]
+    rows = np.arange(runs)[:, None]
+    left = hist[rows, dl, (plan.interior - 1)[None, :]]
+    right = hist[rows, dr, (plan.interior + 1)[None, :]]
+    new = hist[:, 0].copy()  # Dirichlet endpoints carried over
+    new[:, plan.interior] = (
+        (1.0 - 2.0 * plan.r) * hist[:, 0, plan.interior]
+        + plan.r * left
+        + plan.r * right
+    )
+    out = np.empty_like(hist)
+    out[:, 0] = new
+    out[:, 1:] = hist[:, :-1]
+    return out
+
+
+def _ref_simulate_batch(cfg, seeds, snapshot_steps=()):
+    aspec = cfg.aspec
+    plan = _RefStencilPlan(aspec)
+    runs = len(seeds)
+    q, nn = aspec.buffer_len, plan.nn
+    d = aspec.dim
+    ramp = steady_state_profile(aspec.grid, cfg.bc)
+    xss = np.tile(ramp, q)
+
+    hist = np.tile(cfg.initial, (runs, q, 1))
+    rngs = [np.random.default_rng(s) for s in seeds]
+    cdf = cfg.dist.cdf
+
+    steps = cfg.steps
+    error_norms = np.empty((runs, steps + 1))
+    inf_norms = np.empty((runs, steps + 1))
+    sum_error = np.empty((steps + 1, d))
+    sumsq_error = np.empty((steps + 1, d))
+    snapshot_steps = set(snapshot_steps)
+    snapshots = {}
+
+    def record(k):
+        err = hist.reshape(runs, d) - xss
+        error_norms[:, k] = np.linalg.norm(err, axis=1)
+        inf_norms[:, k] = np.abs(err).max(axis=1)
+        sum_error[k] = err.sum(axis=0)
+        sumsq_error[k] = (err**2).sum(axis=0)
+        if k in snapshot_steps:
+            snapshots[k] = hist[0, 0].copy()
+
+    record(0)
+    k = 0
+    while k < steps:
+        chunk = min(_REF_CHUNK_STEPS, steps - k)
+        if plan.num_edges > 0:
+            u = np.stack([rng.random((chunk, plan.num_edges)) for rng in rngs])
+            delays = (u[..., None] >= cdf[None, None, :, :-1]).sum(axis=-1)
+        else:
+            delays = np.zeros((runs, chunk, 0), dtype=np.intp)
+        for t in range(chunk):
+            hist = _ref_advance(hist, delays[:, t], plan)
+            k += 1
+            record(k)
+    return error_norms, inf_norms, sum_error, sumsq_error, snapshots
+
+
+def _skewed_dist():
+    """Per-edge rows that differ, one of them degenerate."""
+    return ah.SwitchingDistribution(np.array([
+        [0.55, 0.25, 0.12, 0.08],
+        [0.0, 0.0, 0.0, 1.0],
+        [0.1, 0.2, 0.3, 0.4],
+        [0.25, 0.25, 0.25, 0.25],
+        [0.7, 0.0, 0.3, 0.0],
+        [0.05, 0.9, 0.0, 0.05],
+    ]))
+
+
+class TestEngineOracle:
+    """The batch engine equals the reference engine bit for bit."""
+
+    @pytest.mark.parametrize("runs", [1, 7])
+    @pytest.mark.parametrize(
+        "kw, snaps",
+        [
+            (dict(num_pes=5, q=2, steps=50), (0, 25, 50)),
+            # 600 steps cross the 256-step sampling chunk boundary twice;
+            # r != 0.5 makes the (1-2r)*u_i term, and so the operand
+            # order of the update, visible in the last bits
+            (dict(num_pes=6, q=3, steps=600, seed=41, r=0.4),
+             (0, 256, 257, 600)),
+            (dict(num_pes=8, q=1, steps=200), (200,)),
+            (dict(num_pes=4, points_per_pe=4, q=4, steps=300, seed=3, r=0.3,
+                  dist=_skewed_dist()), (0, 300)),
+        ],
+        ids=["N5q2", "N6q3-600", "N8q1", "4x4q4-skewed"],
+    )
+    def test_matches_reference_engine(self, kw, snaps, runs):
+        cfg = make_config(**kw)
+        seeds = [run_seed_sequence(cfg.seed, i) for i in range(runs)]
+        got = sim._simulate_batch(cfg, seeds, snaps)
+        want = _ref_simulate_batch(cfg, seeds, snaps)
+        for g, w in zip(got[:4], want[:4]):
+            assert np.array_equal(g, w)
+        assert got[4].keys() == want[4].keys() == set(snaps)
+        for k in snaps:
+            assert np.array_equal(got[4][k], want[4][k])
 
 
 class TestSyncReference:
