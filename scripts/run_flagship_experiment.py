@@ -3,7 +3,9 @@
 
 Simulates the 300-run ensemble, builds the certificates and bound
 curves, and writes the comparison tables — everything the result plots
-need — into the config's output directory (override with --out).
+need — into the config's output directory (override with --out). One
+``simulate analyze compare`` CLI call does it all, so the ensemble and
+the certificate are each computed once.
 
 Usage:
     python scripts/run_flagship_experiment.py [--config configs/paper.json]
@@ -27,16 +29,13 @@ def main() -> int:
     parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     args = parser.parse_args()
 
-    common = ["--config", args.config, "--workers", str(args.workers)]
-    if args.out:
-        common += ["--out", args.out]
-    for command in ("simulate", "analyze", "compare"):
-        print(f"=== {command} ===")
-        code = cli_main([command, *common])
-        if code != 0:
-            print(f"{command} failed with exit code {code}", file=sys.stderr)
-            return code
-    return 0
+    commands = ["simulate", "analyze", "compare"]
+    argv = [*commands, "--config", args.config, "--workers", str(args.workers)]
+    code = cli_main(argv + (["--out", args.out] if args.out else []))
+    if code != 0:
+        print(f"{' '.join(commands)} failed with exit code {code}",
+              file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

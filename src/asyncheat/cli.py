@@ -1,6 +1,7 @@
 """Command-line interface: JSON experiment config in, CSV artifacts out.
 
-Subcommands:
+Commands (one or more per call, run in order over one ``Pipeline``, so
+each stage is computed at most once per call):
   simulate  seeded ensemble + synchronous reference -> trajectory CSVs
   analyze   Lyapunov certificate and bounds from the worst-case mode only
   verify    enumeration-based cross checks (small systems)
@@ -17,7 +18,8 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -179,43 +181,100 @@ def build_problem(cfg: ExperimentConfig):
     return run_cfg
 
 
+class Pipeline:
+    """The stages of one CLI call, each computed on first use and kept.
+
+    The commands of one call are writers over the same stages, so
+    ``simulate analyze compare`` runs one ensemble and one tail walk.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, workers: int):
+        self.cfg = cfg
+        self.workers = workers
+        self.run_cfg = build_problem(cfg)
+        self.aspec = self.run_cfg.aspec
+
+    @cached_property
+    def sync(self) -> sim.Trajectory:
+        return sim.run_sync_reference(
+            self.run_cfg, snapshot_steps=self.cfg.snapshot_steps
+        )
+
+    @cached_property
+    def ensemble(self) -> sim.EnsembleResult:
+        return sim.run_ensemble(
+            self.run_cfg, self.cfg.ensemble_size, workers=self.workers
+        )
+
+    @cached_property
+    def e0(self) -> np.ndarray:
+        """e(0) = X(0) - psi X(0) in the augmented space."""
+        q = self.aspec.buffer_len
+        ramp = grid.steady_state_profile(self.aspec.grid, self.run_cfg.bc)
+        return np.tile(self.run_cfg.initial, q) - np.tile(ramp, q)
+
+    @cached_property
+    def proj(self) -> modes.SteadyStateProjector:
+        return modes.build_projector(self.aspec)
+
+    @cached_property
+    def certificate(self):
+        """(Lyapunov certificate of W~_m, mean contraction, tail constants)."""
+        wtm = modes.deflate(modes.worst_case_mode(self.aspec), self.proj)
+        cert = analysis.solve_discrete_lyapunov(wtm)
+        lam = modes.expected_matrix(self.aspec, self.run_cfg.dist, self.proj)
+        contraction = analysis.verify_mean_contraction(lam, cert)
+        return cert, contraction, analysis.tail_constants(wtm)
+
+    def error_bound(self, eps: float, steps: int) -> np.ndarray:
+        return analysis.error_probability_bound(
+            self.certificate[2], self.e0, eps, steps, dim=self.aspec.dim
+        ).values
+
+    @cached_property
+    def error_bounds(self) -> list[np.ndarray]:
+        """The bound on Pr(||e(k)||^2 > eps) over all steps, per epsilon."""
+        return [self.error_bound(e, self.cfg.steps) for e in self.cfg.epsilons]
+
+
 def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def _write_csv(outdir: str, name: str, header, rows) -> None:
+    with open(os.path.join(outdir, name), "w", encoding="utf-8",
+              newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def _initial_error(run_cfg: sim.RunConfig) -> np.ndarray:
-    """e(0) = X(0) - psi X(0) in the augmented space."""
-    q = run_cfg.aspec.buffer_len
-    ramp = grid.steady_state_profile(run_cfg.aspec.grid, run_cfg.bc)
-    x0 = np.tile(run_cfg.initial, q)
-    return x0 - np.tile(ramp, q)
+def _step_rows(steps: int, *columns):
+    """Rows ``[k, column[k]...]`` for k = 0..steps."""
+    return ([k, *(_fmt(c[k]) for c in columns)] for k in range(steps + 1))
 
 
-def cmd_simulate(cfg: ExperimentConfig, outdir: str, workers: int) -> int:
-    run_cfg = build_problem(cfg)
-    sync = sim.run_sync_reference(run_cfg, snapshot_steps=cfg.snapshot_steps)
-    ens = sim.run_ensemble(run_cfg, cfg.ensemble_size, workers=workers)
-
-    steps = cfg.steps
-    _write_csv(
-        os.path.join(outdir, "sync_trajectory.csv"),
-        ["step", "error_norm", "inf_error"],
-        (
-            [k, _fmt(sync.error_norms[k]), _fmt(sync.inf_norms[k])]
-            for k in range(steps + 1)
-        ),
+def _eps_rows(steps: int, epsilons, *curves):
+    """Rows ``[k, eps_j, curve[j][k]...]``, epsilon-major."""
+    return (
+        [k, _fmt(eps), *(_fmt(c[j][k]) for c in curves)]
+        for j, eps in enumerate(epsilons)
+        for k in range(steps + 1)
     )
+
+
+_COMPARE_HEADER = ["step", "epsilon", "empirical_probability",
+                   "empirical_markov", "analytic_bound"]
+
+
+def cmd_simulate(pipe: Pipeline, outdir: str) -> int:
+    cfg, sync, ens = pipe.cfg, pipe.sync, pipe.ensemble
+    _write_csv(outdir, "sync_trajectory.csv",
+               ["step", "error_norm", "inf_error"],
+               _step_rows(cfg.steps, sync.error_norms, sync.inf_norms))
     if sync.snapshots:
         _write_csv(
-            os.path.join(outdir, "sync_snapshots.csv"),
-            ["step", "point", "value"],
+            outdir, "sync_snapshots.csv", ["step", "point", "value"],
             (
                 [k, i + 1, _fmt(v)]
                 for k in sorted(sync.snapshots)
@@ -223,77 +282,42 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: str, workers: int) -> int:
             ),
         )
     mean_norm = ens.mean_error_norm
-    mean_sq = ens.mean_sq_error
-    max_inf = ens.inf_norms.max(axis=0)
     _write_csv(
-        os.path.join(outdir, "async_ensemble.csv"),
+        outdir, "async_ensemble.csv",
         ["step", "mean_error_norm", "mean_sq_error", "max_inf_error"],
-        (
-            [k, _fmt(mean_norm[k]), _fmt(mean_sq[k]), _fmt(max_inf[k])]
-            for k in range(steps + 1)
-        ),
+        _step_rows(cfg.steps, mean_norm, ens.mean_sq_error,
+                   ens.inf_norms.max(axis=0)),
     )
-    table = ens.exceedance_table
-    _write_csv(
-        os.path.join(outdir, "exceedance.csv"),
-        ["step", "epsilon", "empirical_probability"],
-        (
-            [k, _fmt(eps), _fmt(table[k, j])]
-            for j, eps in enumerate(cfg.epsilons)
-            for k in range(steps + 1)
-        ),
-    )
+    _write_csv(outdir, "exceedance.csv",
+               ["step", "epsilon", "empirical_probability"],
+               _eps_rows(cfg.steps, cfg.epsilons, ens.exceedance_table.T))
     print(
-        f"simulate: {cfg.ensemble_size} runs x {steps} steps, "
+        f"simulate: {cfg.ensemble_size} runs x {cfg.steps} steps, "
         f"final mean error norm {mean_norm[-1]:.3e}"
     )
     return EXIT_OK
 
 
-def _certificate_pipeline(cfg: ExperimentConfig, run_cfg: sim.RunConfig):
-    """Worst-case-mode certificate, mean-contraction check, tail constants."""
-    aspec = run_cfg.aspec
-    proj = modes.build_projector(aspec)
-    wm = modes.worst_case_mode(aspec)
-    wtm = modes.deflate(wm, proj)
-    cert = analysis.solve_discrete_lyapunov(wtm)
-    lam = modes.expected_matrix(aspec, run_cfg.dist, proj)
-    contraction = analysis.verify_mean_contraction(lam, cert)
-    tc = analysis.tail_constants(wtm)
-    return proj, wtm, cert, lam, contraction, tc
-
-
-def cmd_analyze(cfg: ExperimentConfig, outdir: str) -> int:
-    run_cfg = build_problem(cfg)
-    _, _, cert, _, contraction, tc = _certificate_pipeline(cfg, run_cfg)
-    e0 = _initial_error(run_cfg)
-    e0_norm = float(np.linalg.norm(e0))
-
+def cmd_analyze(pipe: Pipeline, outdir: str) -> int:
+    cfg = pipe.cfg
+    cert, contraction, tc = pipe.certificate
+    # the rate comes from P_m and the prefactor from Lambda's own P
+    if contraction.lambda_max_p > cert.lambda_max:
+        raise VerificationFailure(
+            f"mean-rate premise fails: lambda_max(P) of Lambda "
+            f"{contraction.lambda_max_p!r} > lambda_max(P_m) "
+            f"{cert.lambda_max!r}"
+        )
+    e0_norm = float(np.linalg.norm(pipe.e0))
     bound = analysis.convergence_rate_bound(
         cert, e0_norm, cfg.steps, k_const=contraction.k_const
     )
-    _write_csv(
-        os.path.join(outdir, "rate_bound.csv"),
-        ["step", "mean_error_bound"],
-        ([k, _fmt(bound[k])] for k in range(cfg.steps + 1)),
-    )
-    curves = [
-        analysis.error_probability_bound(
-            tc, e0, eps, cfg.steps, dim=run_cfg.aspec.dim
-        )
-        for eps in cfg.epsilons
-    ]
-    _write_csv(
-        os.path.join(outdir, "prob_bound.csv"),
-        ["step", "epsilon", "bound"],
-        (
-            [k, _fmt(curve.epsilon), _fmt(curve.values[k])]
-            for curve in curves
-            for k in range(cfg.steps + 1)
-        ),
-    )
+    _write_csv(outdir, "rate_bound.csv", ["step", "mean_error_bound"],
+               _step_rows(cfg.steps, bound))
+    _write_csv(outdir, "prob_bound.csv", ["step", "epsilon", "bound"],
+               _eps_rows(cfg.steps, cfg.epsilons, pipe.error_bounds))
     certificate = {
-        "dim": run_cfg.aspec.dim,
+        "dim": pipe.aspec.dim,
         "lambda_max_p_m": cert.lambda_max,
         "lambda_min_p_m": cert.lambda_min,
         "lyapunov_residual": cert.residual,
@@ -320,10 +344,9 @@ def cmd_analyze(cfg: ExperimentConfig, outdir: str) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: ExperimentConfig, cap: int) -> int:
-    run_cfg = build_problem(cfg)
-    aspec = run_cfg.aspec
-    proj = modes.build_projector(aspec)
+def cmd_verify(pipe: Pipeline, outdir: str) -> int:
+    aspec, dist, proj = pipe.aspec, pipe.run_cfg.dist, pipe.proj
+    cap = pipe.cfg.mode_cap
     all_modes = modes.enumerate_modes(aspec, cap=cap)
     failures = []
 
@@ -334,22 +357,19 @@ def cmd_verify(cfg: ExperimentConfig, cap: int) -> int:
         if abs(report.inf_norm - 1.0) > 0:
             failures.append(f"inf norm != 1 for delays {mode.delays}")
 
-    lam_fact = modes.expected_matrix(aspec, run_cfg.dist, proj)
-    lam_enum = modes.enumerated_expected_matrix(
-        aspec, run_cfg.dist, proj, cap=cap
-    )
+    lam_fact = modes.expected_matrix(aspec, dist, proj)
+    lam_enum = modes.enumerated_expected_matrix(aspec, dist, proj, cap=cap)
     lam_diff = float(np.max(np.abs(lam_fact - lam_enum)))
     if lam_diff > 1e-12:
         failures.append(f"factorized vs enumerated Lambda differ by {lam_diff}")
 
     prob_sum = sum(
-        modes.mode_probability(mode.delays, run_cfg.dist)
-        for mode in all_modes
+        modes.mode_probability(mode.delays, dist) for mode in all_modes
     )
     if abs(prob_sum - 1.0) > 1e-12:
         failures.append(f"mode probabilities sum to {prob_sum}")
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(pipe.cfg.seed)
     q, nn = aspec.buffer_len, aspec.grid.total_points
     for _ in range(20):
         state = sim.AsyncSimState(history=rng.standard_normal((q, nn)))
@@ -372,53 +392,37 @@ def cmd_verify(cfg: ExperimentConfig, cap: int) -> int:
     return EXIT_OK
 
 
-def cmd_compare(cfg: ExperimentConfig, outdir: str, workers: int) -> int:
-    run_cfg = build_problem(cfg)
-    ens = sim.run_ensemble(run_cfg, cfg.ensemble_size, workers=workers)
-    _, _, cert, _, contraction, tc = _certificate_pipeline(cfg, run_cfg)
-    e0 = _initial_error(run_cfg)
+def cmd_compare(pipe: Pipeline, outdir: str) -> int:
+    cfg, ens = pipe.cfg, pipe.ensemble
     mean_sq = ens.mean_sq_error
-    sq_norms = ens.error_norms**2
-
-    rows = []
-    for eps in cfg.epsilons:
-        empirical = ens.exceedance(eps)
-        markov = np.minimum(1.0, mean_sq / eps)
-        bound = analysis.error_probability_bound(
-            tc, e0, eps, cfg.steps, dim=run_cfg.aspec.dim
-        ).values
-        for k in range(cfg.steps + 1):
-            rows.append(
-                [k, _fmt(eps), _fmt(empirical[k]), _fmt(markov[k]),
-                 _fmt(bound[k])]
-            )
     _write_csv(
-        os.path.join(outdir, "comparison.csv"),
-        ["step", "epsilon", "empirical_probability", "empirical_markov",
-         "analytic_bound"],
-        rows,
+        outdir, "comparison.csv", _COMPARE_HEADER,
+        _eps_rows(cfg.steps, cfg.epsilons, ens.exceedance_table.T,
+                  [np.minimum(1.0, mean_sq / eps) for eps in cfg.epsilons],
+                  pipe.error_bounds),
     )
-
     k_fix = min(cfg.sweep_step, cfg.steps)
-    sweep_rows = []
-    for eps in cfg.sweep_epsilons:
-        empirical = float((sq_norms[:, k_fix] > eps).mean())
-        markov = float(min(1.0, mean_sq[k_fix] / eps))
-        bound = analysis.error_probability_bound(
-            tc, e0, eps, k_fix, dim=run_cfg.aspec.dim
-        ).values[k_fix]
-        sweep_rows.append(
-            [k_fix, _fmt(eps), _fmt(empirical), _fmt(markov), _fmt(bound)]
-        )
+    sq_norms = ens.error_norms[:, k_fix] ** 2
     _write_csv(
-        os.path.join(outdir, "comparison_sweep.csv"),
-        ["step", "epsilon", "empirical_probability", "empirical_markov",
-         "analytic_bound"],
-        sweep_rows,
+        outdir, "comparison_sweep.csv", _COMPARE_HEADER,
+        (
+            [k_fix, _fmt(eps), _fmt((sq_norms > eps).mean()),
+             _fmt(min(1.0, mean_sq[k_fix] / eps)),
+             _fmt(pipe.error_bound(eps, k_fix)[k_fix])]
+            for eps in cfg.sweep_epsilons
+        ),
     )
     print(f"compare: wrote comparison curves for {len(cfg.epsilons)} epsilons "
           f"and a sweep at step {k_fix}")
     return EXIT_OK
+
+
+COMMANDS = {
+    "simulate": cmd_simulate,
+    "analyze": cmd_analyze,
+    "verify": cmd_verify,
+    "compare": cmd_compare,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -429,20 +433,27 @@ def _build_parser() -> argparse.ArgumentParser:
             "analysis"
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "analyze", "verify", "compare"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument(
-            "--workers", type=int, default=os.cpu_count() or 1,
-            help="ensemble worker threads",
-        )
-        p.add_argument(
-            "--cap", type=int, default=None,
-            help="mode-enumeration cap (verify only)",
-        )
+    parser.add_argument(
+        "commands", nargs="+", choices=COMMANDS, metavar="command",
+        help=f"one or more of {', '.join(COMMANDS)}; run in order over "
+             "one shared pipeline",
+    )
+    parser.add_argument("--config", required=True, help="JSON config path")
+    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument(
+        "--workers", type=int, default=os.cpu_count() or 1,
+        help="ensemble worker threads",
+    )
+    parser.add_argument(
+        "--cap", type=int, default=None,
+        help="mode-enumeration cap (verify only)",
+    )
     return parser
+
+
+def _error(kind: str, exc: Exception, code: int) -> int:
+    print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
@@ -450,45 +461,34 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
-        print(json.dumps({"error": "config", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_CONFIG
+        return _error("config", exc, EXIT_CONFIG)
 
     outdir = args.out or cfg.output_dir or "."
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
-        print(json.dumps({"error": "io", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_IO
+        return _error("io", exc, EXIT_IO)
 
+    if args.cap:
+        cfg = replace(cfg, mode_cap=args.cap)
+    pipe = Pipeline(cfg, args.workers)
     try:
-        if args.command == "simulate":
-            return cmd_simulate(cfg, outdir, args.workers)
-        if args.command == "analyze":
-            return cmd_analyze(cfg, outdir)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.cap or cfg.mode_cap)
-        if args.command == "compare":
-            return cmd_compare(cfg, outdir, args.workers)
-        raise AssertionError(f"unknown command {args.command}")
+        for command in args.commands:
+            code = COMMANDS[command](pipe, outdir)
+            if code != EXIT_OK:
+                return code
+        return EXIT_OK
     except modes.ModeCountError as exc:
-        print(json.dumps({"error": "config", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_CONFIG
+        return _error("config", exc, EXIT_CONFIG)
     except (
         analysis.LyapunovError,
         analysis.HorizonExhaustedError,
         modes.DeflationError,
         VerificationFailure,
     ) as exc:
-        print(json.dumps({"error": "numerical", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _error("numerical", exc, EXIT_NUMERICAL)
     except OSError as exc:
-        print(json.dumps({"error": "io", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_IO
+        return _error("io", exc, EXIT_IO)
 
 
 if __name__ == "__main__":

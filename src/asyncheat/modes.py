@@ -9,12 +9,11 @@ the rank-2 steady-state projector.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, build_sync_matrix
+from .grid import GridSpec
 
 
 class ModeCountError(ValueError):
@@ -217,27 +216,8 @@ def _as_matrix(w) -> np.ndarray:
 
 
 def spectral_radius(m: np.ndarray) -> float:
-    """Spectral radius; dense eigensolver below 500, power iteration above."""
-    if m.shape[0] < 500:
-        return float(np.max(np.abs(np.linalg.eigvals(m))))
-    # power iteration on a shifted/normalized iterate; good enough for the
-    # stability guard at large dimension
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(m.shape[0])
-    x /= np.linalg.norm(x)
-    rho = 0.0
-    for _ in range(2000):
-        y = m @ x
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        rho_new = ny
-        x = y / ny
-        if abs(rho_new - rho) < 1e-12 * max(rho_new, 1.0):
-            rho = rho_new
-            break
-        rho = rho_new
-    return float(rho)
+    """Spectral radius from the dense eigensolver, at every dimension."""
+    return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
 def deflate(w, proj: SteadyStateProjector) -> np.ndarray:

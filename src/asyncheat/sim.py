@@ -15,12 +15,11 @@ import numpy as np
 
 from .grid import (
     BoundaryConditions,
-    GridSpec,
     build_sync_matrix,
     steady_state_profile,
     sync_step,
 )
-from .modes import AugmentedSpec, SwitchingDistribution, build_projector
+from .modes import AugmentedSpec, SwitchingDistribution
 
 _CHUNK_STEPS = 256  # delay pre-sampling granularity
 

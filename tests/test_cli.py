@@ -119,6 +119,28 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "numerical"
 
+    def test_mean_rate_premise_checked_before_writing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from dataclasses import replace
+
+        from asyncheat import cli
+
+        real = cli.analysis.verify_mean_contraction
+
+        def violating(lam, cert):
+            report = real(lam, cert)
+            return replace(report, lambda_max_p=2 * cert.lambda_max)
+
+        monkeypatch.setattr(cli.analysis, "verify_mean_contraction", violating)
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        code = main(["analyze", "--config", path, "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert not (out / "rate_bound.csv").exists()
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "numerical"
+
     def test_unwritable_output_exit_4(self, tmp_path, capsys):
         path = write_config(tmp_path)
         code = main(["analyze", "--config", path, "--out", "/dev/null/x"])
@@ -272,10 +294,77 @@ class TestCompare:
         assert mar == sorted(mar, reverse=True)
 
 
+ALL_FILES = (
+    "sync_trajectory.csv", "sync_snapshots.csv", "async_ensemble.csv",
+    "exceedance.csv", "rate_bound.csv", "prob_bound.csv", "certificate.json",
+    "comparison.csv", "comparison_sweep.csv",
+)
+
+
+class TestPipeline:
+    def test_one_call_writes_what_three_calls_write(self, tmp_path):
+        path = write_config(tmp_path)
+        together, apart = tmp_path / "together", tmp_path / "apart"
+        assert main(["simulate", "analyze", "compare", "--config", path,
+                     "--out", str(together)]) == EXIT_OK
+        for command in ("simulate", "analyze", "compare"):
+            assert main([command, "--config", path,
+                         "--out", str(apart)]) == EXIT_OK
+        for name in ALL_FILES:
+            assert (together / name).read_bytes() == (
+                apart / name
+            ).read_bytes(), name
+
+    def test_each_stage_computed_once(self, tmp_path, monkeypatch):
+        from asyncheat import cli
+
+        calls = {}
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(cli.sim, "run_ensemble")
+        count(cli.analysis, "tail_constants")
+        count(cli.analysis, "solve_discrete_lyapunov")
+        path = write_config(tmp_path)
+        assert main(["simulate", "analyze", "compare", "--config", path,
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert calls["run_ensemble"] == 1
+        assert calls["tail_constants"] == 1
+        assert 1 <= calls["solve_discrete_lyapunov"] <= 2
+
+    def test_stops_at_first_failing_command(self, tmp_path, monkeypatch):
+        from asyncheat import analysis, cli
+
+        def exhausted(*args, **kwargs):
+            raise analysis.HorizonExhaustedError("never contracted")
+
+        monkeypatch.setattr(cli.analysis, "tail_constants", exhausted)
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        code = main(["simulate", "analyze", "compare", "--config", path,
+                     "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert (out / "exceedance.csv").exists()
+        assert not (out / "rate_bound.csv").exists()
+        assert not (out / "comparison.csv").exists()
+
+
 class TestCliParsing:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_unknown_command_rejected(self, tmp_path):
+        path = write_config(tmp_path)
+        with pytest.raises(SystemExit):
+            main(["simulate", "simulat", "--config", path])
 
     def test_requires_config(self):
         with pytest.raises(SystemExit):

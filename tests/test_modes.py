@@ -162,6 +162,12 @@ class TestDeflate:
         with pytest.raises(ah.DeflationError):
             ah.deflate(ah.enumerate_modes(aspec32)[0], bad)
 
+    def test_spectral_radius_of_large_non_normal_matrix(self):
+        # highly non-normal: the norms of its powers grow long before
+        # they decay, so they say little about rho = 0.5
+        m = np.diag(np.full(600, 0.5)) + np.diag(np.full(599, 2.0), 1)
+        assert ah.modes.spectral_radius(m) == pytest.approx(0.5, abs=1e-12)
+
 
 class TestExpectedMatrix:
     def test_q1_degenerate(self):
