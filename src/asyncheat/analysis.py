@@ -206,12 +206,14 @@ class TailConstants:
         return 1.0 - (1.0 - self.c1) / (self.k0 * self.c0)
 
 
-def _power_norms(w_tilde: np.ndarray, horizon: int):
-    """Yield (k, ||W~^k||) for k = 0, 1, ... up to the horizon."""
+def _powers(w_tilde: np.ndarray, horizon: int):
+    """Yield (k, W~^k) for k = 0..horizon, stepping by sparse W~ @ W~^k."""
+    import scipy.sparse  # kept off the CLI's import path
+    step = scipy.sparse.csr_array(w_tilde)
     m = np.eye(w_tilde.shape[0])
     for k in range(horizon + 1):
-        yield k, spectral_norm(m)
-        m = m @ w_tilde
+        yield k, m
+        m = step @ m
 
 
 def tail_constants(w_tilde: np.ndarray, horizon: int = 100_000) -> TailConstants:
@@ -219,9 +221,8 @@ def tail_constants(w_tilde: np.ndarray, horizon: int = 100_000) -> TailConstants
     w_tilde = np.asarray(w_tilde, dtype=float)
     c0 = 1.0
     smallest = np.inf
-    m = np.eye(w_tilde.shape[0])
     u = None  # warm start for the singular-vector iteration
-    for k in range(horizon + 1):
+    for k, m in _powers(w_tilde, horizon):
         norm_k, u = _top_singular_value(m, u)
         fourth = norm_k**4
         if fourth < 1.0:
@@ -231,7 +232,6 @@ def tail_constants(w_tilde: np.ndarray, horizon: int = 100_000) -> TailConstants
                 return TailConstants(k0=k, c0=c0, c1=fourth)
         smallest = min(smallest, fourth)
         c0 = max(c0, fourth)
-        m = m @ w_tilde
     raise HorizonExhaustedError(
         f"||W~^k||^4 never dropped below 1 within {horizon} powers "
         f"(smallest seen: {smallest})"
@@ -245,10 +245,9 @@ def _top_singular_value(m: np.ndarray, u0=None, tol: float = 1e-12):
     """
     n = m.shape[0]
     if n <= 64 or u0 is None:
-        s = spectral_norm(m)
         # seed the next warm start with the top right singular vector
-        _, _, vt = np.linalg.svd(m)
-        return s, vt[0]
+        _, s, vt = np.linalg.svd(m)
+        return float(s[0]), vt[0]
     u = u0 / np.linalg.norm(u0)
     s = 0.0
     stable = 0
@@ -300,8 +299,8 @@ def second_moment_bound_check(
     cert = solve_discrete_lyapunov(gamma)
     tc = tail_constants(w_tilde, horizon=horizon)
     truncated = 0.0
-    for k, s in _power_norms(w_tilde, horizon):
-        term = s**4
+    for _, m in _powers(w_tilde, horizon):
+        term = spectral_norm(m) ** 4
         truncated += term
         if term < 1e-16:
             break

@@ -307,6 +307,29 @@ def test_criterion_08b_tail_bound_reaches_zero(
     )
 
 
+def test_flagship_tail_constants_match_committed_certificate(
+    paper_certificates,
+):
+    """(k0, c0, c1) reproduce results/flagship/certificate.json."""
+    _, _, tc = paper_certificates
+    path = os.path.join(
+        os.path.dirname(__file__), "..", "results", "flagship",
+        "certificate.json",
+    )
+    with open(path) as fh:
+        golden = json.load(fh)
+    rel = max(
+        abs(tc.c0 - golden["c0"]) / golden["c0"],
+        abs(tc.c1 - golden["c1"]) / golden["c1"],
+    )
+    _report(
+        "flagship tail constants: k0 exact, c0 and c1 within 1e-9 "
+        "relative of the committed certificate",
+        tc.k0 == golden["k0"] and rel <= 1e-9,
+        f"k0 {tc.k0} vs {golden['k0']}, worst relative gap {rel:.1e}",
+    )
+
+
 def test_criterion_09_solver_oracles():
     """Direct Lyapunov solves agree with the series oracle, 100 cases."""
     rng = np.random.default_rng(777)

@@ -7,6 +7,8 @@ import asyncheat as ah
 from asyncheat.analysis import (
     HorizonExhaustedError,
     LyapunovError,
+    TailConstants,
+    _top_singular_value,
     lyapunov_series,
 )
 from conftest import exact_spec
@@ -188,6 +190,52 @@ class TestTailConstants:
         tc = ah.tail_constants(paper_worst_deflated())
         assert 0 < tc.second_moment_rate < 1
         assert tc.lifted_lambda_max_bound > 1
+
+
+def dense_tail_constants(w_tilde, horizon=100_000):
+    """Oracle: the walk with the dense right product, kept verbatim."""
+    w_tilde = np.asarray(w_tilde, dtype=float)
+    c0 = 1.0
+    smallest = np.inf
+    m = np.eye(w_tilde.shape[0])
+    u = None  # warm start for the singular-vector iteration
+    for k in range(horizon + 1):
+        norm_k, u = _top_singular_value(m, u)
+        fourth = norm_k**4
+        if fourth < 1.0:
+            # confirm against the full SVD before committing to k0
+            fourth = ah.spectral_norm(m) ** 4
+            if fourth < 1.0:
+                return TailConstants(k0=k, c0=c0, c1=fourth)
+        smallest = min(smallest, fourth)
+        c0 = max(c0, fourth)
+        m = m @ w_tilde
+    raise HorizonExhaustedError(
+        f"||W~^k||^4 never dropped below 1 within {horizon} powers "
+        f"(smallest seen: {smallest})"
+    )
+
+
+class TestTailWalkOracle:
+    """The sparse walk finds the dense walk's constants above dim 64."""
+
+    @pytest.mark.parametrize(
+        "w_tilde",
+        [
+            pytest.param(lambda: paper_worst_deflated(25, 3), id="N25-q3"),
+            pytest.param(lambda: paper_worst_deflated(20, 4), id="N20-q4"),
+            pytest.param(lambda: random_stable(70, 0.9, 51), id="dense70"),
+        ],
+    )
+    def test_matches_dense_walk(self, w_tilde):
+        w_tilde = w_tilde()
+        assert w_tilde.shape[0] > 64
+        want = dense_tail_constants(w_tilde)
+        got = ah.tail_constants(w_tilde)
+        assert want.k0 > 1
+        assert got.k0 == want.k0
+        assert got.c0 == pytest.approx(want.c0, rel=1e-12, abs=0)
+        assert got.c1 == pytest.approx(want.c1, rel=1e-12, abs=0)
 
 
 class TestSecondMomentBound:

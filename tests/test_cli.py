@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import asyncheat
 from asyncheat.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -369,3 +374,18 @@ class TestCliParsing:
     def test_requires_config(self):
         with pytest.raises(SystemExit):
             main(["simulate"])
+
+
+def test_import_does_not_load_scipy_sparse():
+    """scipy.sparse loads with the tail walk, not with the CLI module."""
+    src = str(Path(asyncheat.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, asyncheat.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
