@@ -53,8 +53,8 @@ class GridSpec:
     def total_points(self) -> int:
         return self.num_pes * self.points_per_pe
 
-    def pe_of(self, point: int) -> int:
-        """PE owning a 0-based global grid point."""
+    def pe_of(self, point):
+        """PE owning a 0-based global grid point (or each of an array)."""
         return point // self.points_per_pe
 
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .grid import GridSpec
+from .grid import GridSpec, build_sync_matrix
 
 
 class ModeCountError(ValueError):
@@ -46,20 +47,51 @@ class AugmentedSpec:
     def dim(self) -> int:
         return self.grid.total_points * self.buffer_len
 
+    @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(rows, nbs)``: updating point and neighbour per edge.
+
+        A read of edge e with delay d sits at column ``d * Nn + nbs[e]``.
+        """
+        g = self.grid
+        rows = np.repeat(np.arange(1, g.total_points - 1), 2)
+        nbs = rows + np.tile([-1, 1], g.total_points - 2)
+        layout = np.stack([rows, nbs])[:, g.pe_of(nbs) != g.pe_of(rows)]
+        layout.setflags(write=False)
+        return layout[0], layout[1]
+
+    @cached_property
+    def base(self) -> np.ndarray:
+        """Read-only part shared by every mode matrix.
+
+        Block (0, 0) is the within-PE stencil with zeros where the cross-PE
+        edges read; the blocks below the diagonal shift the history.
+        """
+        nn = self.grid.total_points
+        base = np.eye(self.dim, k=-nn)
+        base[:nn, :nn] = build_sync_matrix(self.grid)
+        base[self.edge_arrays] = 0.0
+        base.setflags(write=False)
+        return base
+
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Directed cross-PE dependency edges, 0-based global indices."""
-        g = self.grid
-        out = []
-        for i in range(1, g.total_points - 1):
-            for nb in (i - 1, i + 1):
-                if g.pe_of(nb) != g.pe_of(i):
-                    out.append((i, nb))
-        return tuple(out)
+        rows, nbs = self.edge_arrays
+        return tuple(zip(rows.tolist(), nbs.tolist()))
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return self.edge_arrays[0].size
+
+    def check_delays(self, delays) -> np.ndarray:
+        """One delay per edge, each in [0, q-1], as an intp array."""
+        delays = np.asarray(delays, dtype=np.intp).ravel()
+        if len(delays) != self.num_edges:
+            raise ValueError(f"{len(delays)} delays for {self.num_edges} edges")
+        if np.any((delays < 0) | (delays >= self.buffer_len)):
+            raise ValueError(f"delays must lie in [0, {self.buffer_len - 1}]")
+        return delays
 
     @property
     def mode_count(self) -> int:
@@ -118,36 +150,14 @@ class SwitchingDistribution:
 def build_mode_matrix(aspec: AugmentedSpec, delays) -> ModeMatrix:
     """Mode matrix for one delay pattern.
 
-    Block row 0 realizes the buffered stencil update: the r-entry of each
-    cross-PE edge sits in the block column given by that edge's delay;
-    within-PE reads use block 0. Block rows 1..q-1 shift the history.
+    The shared ``aspec.base`` plus the r-entry of each cross-PE edge,
+    placed in the block column given by that edge's delay.
     """
-    delays = tuple(int(d) for d in np.asarray(delays, dtype=int).ravel())
-    if len(delays) != aspec.num_edges:
-        raise ValueError(
-            f"pattern length {len(delays)} != num_edges {aspec.num_edges}"
-        )
-    q = aspec.buffer_len
-    if any(d < 0 or d >= q for d in delays):
-        raise ValueError(f"delays must lie in [0, {q - 1}]")
-
-    g = aspec.grid
-    nn = g.total_points
-    r = g.r
-    w = np.zeros((aspec.dim, aspec.dim))
-    for b in range(1, q):
-        w[b * nn:(b + 1) * nn, (b - 1) * nn:b * nn] = np.eye(nn)
-    w[0, 0] = 1.0
-    w[nn - 1, nn - 1] = 1.0
-    cross = set(aspec.edges)
-    for i in range(1, nn - 1):
-        w[i, i] = 1.0 - 2.0 * r
-        for nb in (i - 1, i + 1):
-            if (i, nb) not in cross:
-                w[i, nb] = r
-    for d, (i, nb) in zip(delays, aspec.edges):
-        w[i, d * nn + nb] = r
-    return ModeMatrix(w=w, delays=delays)
+    delays = aspec.check_delays(delays)
+    rows, nbs = aspec.edge_arrays
+    w = aspec.base.copy()
+    w[rows, delays * aspec.grid.total_points + nbs] = aspec.grid.r
+    return ModeMatrix(w=w, delays=tuple(delays.tolist()))
 
 
 def worst_case_mode(aspec: AugmentedSpec) -> ModeMatrix:
@@ -157,6 +167,17 @@ def worst_case_mode(aspec: AugmentedSpec) -> ModeMatrix:
     )
 
 
+def _patterns(aspec: AugmentedSpec, cap: int):
+    """All q**E delay patterns, lexicographic; refuses more than ``cap``."""
+    m = aspec.mode_count
+    if m > cap:
+        raise ModeCountError(
+            f"mode count {m} exceeds cap {cap}; "
+            "use the enumeration-free analysis paths"
+        )
+    return itertools.product(range(aspec.buffer_len), repeat=aspec.num_edges)
+
+
 def enumerate_modes(aspec: AugmentedSpec, cap: int = 100_000) -> list[ModeMatrix]:
     """All q**E mode matrices, lexicographic in the delay pattern.
 
@@ -164,18 +185,7 @@ def enumerate_modes(aspec: AugmentedSpec, cap: int = 100_000) -> list[ModeMatrix
     pattern (most delayed) last. Refuses when the mode count exceeds
     ``cap``.
     """
-    m = aspec.mode_count
-    if m > cap:
-        raise ModeCountError(
-            f"mode count {m} exceeds cap {cap}; "
-            "use the enumeration-free analysis paths"
-        )
-    return [
-        build_mode_matrix(aspec, pattern)
-        for pattern in itertools.product(
-            range(aspec.buffer_len), repeat=aspec.num_edges
-        )
-    ]
+    return [build_mode_matrix(aspec, p) for p in _patterns(aspec, cap)]
 
 
 @dataclass(frozen=True)
@@ -248,13 +258,10 @@ def expected_matrix(
         raise ValueError("distribution shape does not match aspec")
     if proj is None:
         proj = build_projector(aspec)
-    nn = aspec.grid.total_points
-    r = aspec.grid.r
-    ew = build_mode_matrix(aspec, (0,) * aspec.num_edges).w.copy()
-    for e, (i, nb) in enumerate(aspec.edges):
-        ew[i, nb] = 0.0  # remove the zero-delay placement
-        for d in range(aspec.buffer_len):
-            ew[i, d * nn + nb] += r * dist.probs[e, d]
+    rows, nbs = aspec.edge_arrays
+    cols = np.arange(aspec.buffer_len) * aspec.grid.total_points
+    ew = aspec.base.copy()
+    ew[rows[:, None], cols + nbs[:, None]] = aspec.grid.r * dist.probs
     return ew - proj.psi
 
 
@@ -268,9 +275,9 @@ def enumerated_expected_matrix(
     if proj is None:
         proj = build_projector(aspec)
     lam = np.zeros((aspec.dim, aspec.dim))
-    for mode in enumerate_modes(aspec, cap=cap):
-        pi = mode_probability(mode.delays, dist)
-        lam += pi * (mode.w - proj.psi)
+    for pattern in _patterns(aspec, cap):
+        w = build_mode_matrix(aspec, pattern).w
+        lam += mode_probability(pattern, dist) * (w - proj.psi)
     return lam
 
 

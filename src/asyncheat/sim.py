@@ -95,19 +95,15 @@ class _StencilPlan:
     def __init__(self, aspec: AugmentedSpec, runs: int):
         g = aspec.grid
         nn = g.total_points
-        q = aspec.buffer_len
-        run_offset = np.arange(runs)[:, None] * (q * nn)
+        run_offset = np.arange(runs)[:, None] * aspec.dim
         self.nn = nn
         self.r = g.r
         self.num_edges = aspec.num_edges
+        rows, nbs = aspec.edge_arrays
         self.sides = []
         for shift in (-1, 1):
-            picked = [
-                (e, i) for e, (i, nb) in enumerate(aspec.edges)
-                if nb == i + shift
-            ]
-            cols = np.array([e for e, _ in picked], dtype=np.intp)
-            points = np.array([i for _, i in picked], dtype=np.intp)
+            cols = np.flatnonzero(nbs - rows == shift)
+            points = rows[cols]
             self.sides.append((cols, points - 1, run_offset + points + shift))
         # neighbour reads of the interior, rebuilt every step
         self.reads = np.empty((2, runs, nn - 2))
@@ -166,11 +162,7 @@ def async_step(
     Equals multiplication of the augmented state by the corresponding
     mode matrix, exactly.
     """
-    delays = np.asarray(delays, dtype=np.intp).ravel()
-    if delays.shape[0] != aspec.num_edges:
-        raise ValueError("pattern length does not match aspec")
-    if np.any((delays < 0) | (delays >= aspec.buffer_len)):
-        raise ValueError(f"delays must lie in [0, {aspec.buffer_len - 1}]")
+    delays = aspec.check_delays(delays)
     hist = state.history[None]
     out = np.empty(hist.shape)
     _advance(hist, out, delays[None, :], _StencilPlan(aspec, 1))

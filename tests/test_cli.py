@@ -267,6 +267,21 @@ class TestVerify:
         path = write_config(tmp_path, {"delay_probs": [0.7, 0.3]})
         assert main(["verify", "--config", path]) == EXIT_OK
 
+    def test_enumerates_modes_once(self, tmp_path, monkeypatch):
+        from asyncheat import cli
+
+        calls = []
+        real = cli.modes.enumerate_modes
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli.modes, "enumerate_modes", counted)
+        path = write_config(tmp_path)
+        assert main(["verify", "--config", path]) == EXIT_OK
+        assert len(calls) == 1
+
 
 class TestCompare:
     def test_artifacts_and_consistency(self, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import asyncheat as ah
+from asyncheat.grid import GridSpec
 from asyncheat.modes import enumerated_expected_matrix
 from conftest import exact_spec
 
@@ -106,6 +107,137 @@ class TestBuildModeMatrix:
         assert m.w[1, 0] == r and m.w[1, 2] == r            # within-PE reads
 
 
+# Reference construction: the per-point edge loop, the loop-assembled mode
+# matrix and the edge-patched expected matrix that the scatters onto
+# ``AugmentedSpec.base`` replaced. The scatters must reproduce them bit for
+# bit. Verbatim apart from reading the edge list from ``ref_edges``.
+def ref_edges(aspec):
+    g = aspec.grid
+    out = []
+    for i in range(1, g.total_points - 1):
+        for nb in (i - 1, i + 1):
+            if g.pe_of(nb) != g.pe_of(i):
+                out.append((i, nb))
+    return tuple(out)
+
+
+def ref_build_mode_matrix(aspec, delays):
+    edges = ref_edges(aspec)
+    delays = tuple(int(d) for d in np.asarray(delays, dtype=int).ravel())
+    q = aspec.buffer_len
+    g = aspec.grid
+    nn = g.total_points
+    r = g.r
+    w = np.zeros((aspec.dim, aspec.dim))
+    for b in range(1, q):
+        w[b * nn:(b + 1) * nn, (b - 1) * nn:b * nn] = np.eye(nn)
+    w[0, 0] = 1.0
+    w[nn - 1, nn - 1] = 1.0
+    cross = set(edges)
+    for i in range(1, nn - 1):
+        w[i, i] = 1.0 - 2.0 * r
+        for nb in (i - 1, i + 1):
+            if (i, nb) not in cross:
+                w[i, nb] = r
+    for d, (i, nb) in zip(delays, edges):
+        w[i, d * nn + nb] = r
+    return ah.ModeMatrix(w=w, delays=delays)
+
+
+def ref_expected_matrix(aspec, dist, proj):
+    edges = ref_edges(aspec)
+    nn = aspec.grid.total_points
+    r = aspec.grid.r
+    ew = ref_build_mode_matrix(aspec, (0,) * len(edges)).w.copy()
+    for e, (i, nb) in enumerate(edges):
+        ew[i, nb] = 0.0  # remove the zero-delay placement
+        for d in range(aspec.buffer_len):
+            ew[i, d * nn + nb] += r * dist.probs[e, d]
+    return ew - proj.psi
+
+
+class TestScatterOracle:
+    """Mode matrices and Lambda equal the loop construction bit for bit."""
+
+    @pytest.mark.parametrize("r", [0.5, 0.3])
+    @pytest.mark.parametrize(
+        "num_pes, points_per_pe, q",
+        [(3, 2, 2), (5, 1, 3), (7, 1, 3), (4, 4, 4), (100, 1, 3),
+         (10, 3, 2), (6, 2, 1)],
+    )
+    def test_matches_loop_construction(self, num_pes, points_per_pe, q, r):
+        aspec = ah.AugmentedSpec(
+            grid=exact_spec(num_pes, points_per_pe, r), buffer_len=q
+        )
+        edges = ref_edges(aspec)
+        assert aspec.edges == edges
+        assert aspec.num_edges == len(edges)
+        rng = np.random.default_rng(num_pes * 100 + points_per_pe * 10 + q)
+        patterns = [rng.integers(0, q, len(edges)) for _ in range(5)]
+        patterns.append((q - 1,) * len(edges))
+        for delays in patterns:
+            got = ah.build_mode_matrix(aspec, delays)
+            want = ref_build_mode_matrix(aspec, delays)
+            assert np.array_equal(got.w, want.w)
+            assert got.delays == want.delays
+        worst = ref_build_mode_matrix(aspec, (q - 1,) * len(edges))
+        assert np.array_equal(ah.worst_case_mode(aspec).w, worst.w)
+        proj = ah.build_projector(aspec)
+        probs = rng.random((len(edges), q))
+        probs /= probs.sum(axis=1, keepdims=True)
+        dist = ah.SwitchingDistribution(probs)
+        assert np.array_equal(
+            ah.expected_matrix(aspec, dist, proj),
+            ref_expected_matrix(aspec, dist, proj),
+        )
+
+
+class TestEdgeLayout:
+    def test_computed_once_and_read_only(self):
+        aspec = ah.AugmentedSpec(grid=exact_spec(5, 2), buffer_len=3)
+        rows, nbs = aspec.edge_arrays
+        assert aspec.edge_arrays is aspec.edge_arrays
+        assert aspec.base is aspec.base
+        for array in (aspec.base, rows, nbs):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        # a mode matrix is a writable copy that leaves the base intact
+        base = aspec.base.copy()
+        ah.build_mode_matrix(aspec, (2,) * aspec.num_edges).w[0, 0] = 7.0
+        assert np.array_equal(aspec.base, base)
+
+    def test_no_edge_rederivation_per_mode(self, monkeypatch):
+        calls = []
+        real = GridSpec.pe_of
+
+        def counted(self, point):
+            calls.append(1)
+            return real(self, point)
+
+        monkeypatch.setattr(GridSpec, "pe_of", counted)
+        aspec = ah.AugmentedSpec(grid=exact_spec(6), buffer_len=2)
+        rng = np.random.default_rng(3)
+        ah.build_mode_matrix(aspec, (0,) * aspec.num_edges)
+        first = len(calls)
+        assert first > 0
+        for _ in range(1000):
+            ah.build_mode_matrix(aspec, rng.integers(0, 2, aspec.num_edges))
+        assert len(calls) == first
+
+    @pytest.mark.parametrize(
+        "delays", [(0, 0, 0), (0, 0, 0, 0, 0), (0, 2, 0, 0), (0, -1, 0, 0)],
+        ids=["short", "long", "q", "minus-one"],
+    )
+    def test_one_check_for_both_callers(self, delays):
+        aspec = ah.AugmentedSpec(grid=exact_spec(4), buffer_len=2)
+        state = ah.init_state(np.zeros(4), 2)
+        with pytest.raises(ValueError) as from_modes:
+            ah.build_mode_matrix(aspec, delays)
+        with pytest.raises(ValueError) as from_sim:
+            ah.async_step(state, delays, aspec)
+        assert str(from_modes.value) == str(from_sim.value)
+
+
 class TestProjector:
     def test_selectors(self, aspec32):
         proj = ah.build_projector(aspec32)
@@ -187,6 +319,12 @@ class TestExpectedMatrix:
             0.25 * (m.w - proj.psi) for m in ah.enumerate_modes(aspec32)
         )
         assert np.abs(lam - avg).max() < 1e-15
+
+    def test_enumerated_refuses_above_cap(self):
+        aspec = ah.AugmentedSpec(grid=exact_spec(6), buffer_len=3)
+        dist = ah.SwitchingDistribution.uniform(aspec)
+        with pytest.raises(ah.ModeCountError, match=str(aspec.mode_count)):
+            enumerated_expected_matrix(aspec, dist, cap=100)
 
     def test_factorized_equals_enumerated_6561_modes(self):
         aspec = ah.AugmentedSpec(grid=exact_spec(6), buffer_len=3)
