@@ -18,7 +18,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -40,20 +40,6 @@ class VerificationFailure(RuntimeError):
 
 
 _REQUIRED_KEYS = {"num_pes", "dx", "dt", "alpha", "buffer_len", "steps", "seed"}
-_OPTIONAL_KEYS = {
-    "points_per_pe",
-    "initial",
-    "u_left",
-    "u_right",
-    "ensemble_size",
-    "epsilons",
-    "delay_probs",
-    "snapshot_steps",
-    "sweep_step",
-    "sweep_epsilons",
-    "mode_cap",
-    "output_dir",
-}
 
 
 @dataclass(frozen=True)
@@ -79,6 +65,9 @@ class ExperimentConfig:
     sweep_epsilons: tuple[float, ...]
     mode_cap: int
     output_dir: str | None
+
+
+_OPTIONAL_KEYS = {f.name for f in fields(ExperimentConfig)} - _REQUIRED_KEYS
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -347,25 +336,21 @@ def cmd_analyze(pipe: Pipeline, outdir: str) -> int:
 def cmd_verify(pipe: Pipeline, outdir: str) -> int:
     aspec, dist, proj = pipe.aspec, pipe.run_cfg.dist, pipe.proj
     cap = pipe.cfg.mode_cap
-    all_modes = modes.enumerate_modes(aspec, cap=cap)
     failures = []
-
-    for mode in all_modes:
-        report = modes.verify_eigenstructure(mode, proj)
-        if not report.passed:
-            failures.append(f"eigenstructure failed for delays {mode.delays}")
-        if abs(report.inf_norm - 1.0) > 0:
-            failures.append(f"inf norm != 1 for delays {mode.delays}")
+    prob_sum = 0.0
+    for delays, w in modes.mode_batches(aspec, cap):
+        report = modes.verify_eigenstructure(w, proj)
+        failures += [f"eigenstructure failed for delays {tuple(d)}"
+                     for d in delays[~report.passed].tolist()]
+        failures += [f"inf norm != 1 for delays {tuple(d)}"
+                     for d in delays[report.inf_norm != 1.0].tolist()]
+        prob_sum += modes.mode_probability(delays, dist).sum()
 
     lam_fact = modes.expected_matrix(aspec, dist, proj)
     lam_enum = modes.enumerated_expected_matrix(aspec, dist, proj, cap=cap)
     lam_diff = float(np.max(np.abs(lam_fact - lam_enum)))
     if lam_diff > 1e-12:
         failures.append(f"factorized vs enumerated Lambda differ by {lam_diff}")
-
-    prob_sum = sum(
-        modes.mode_probability(mode.delays, dist) for mode in all_modes
-    )
     if abs(prob_sum - 1.0) > 1e-12:
         failures.append(f"mode probabilities sum to {prob_sum}")
 
@@ -373,7 +358,8 @@ def cmd_verify(pipe: Pipeline, outdir: str) -> int:
     q, nn = aspec.buffer_len, aspec.grid.total_points
     for _ in range(20):
         state = sim.AsyncSimState(history=rng.standard_normal((q, nn)))
-        mode = all_modes[rng.integers(len(all_modes))]
+        mode = modes.build_mode_matrix(aspec, np.unravel_index(
+            rng.integers(aspec.mode_count), (q,) * aspec.num_edges))
         stepped = sim.async_step(state, mode.delays, aspec).augmented
         direct = mode.w @ state.augmented
         if not np.array_equal(stepped, direct):
@@ -382,7 +368,7 @@ def cmd_verify(pipe: Pipeline, outdir: str) -> int:
             )
             break
 
-    print(f"verify: {len(all_modes)} modes, Lambda diff {lam_diff:.3e}, "
+    print(f"verify: {aspec.mode_count} modes, Lambda diff {lam_diff:.3e}, "
           f"probability sum {prob_sum:.15f}")
     if failures:
         for f in failures:
@@ -469,7 +455,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         return _error("io", exc, EXIT_IO)
 
-    if args.cap:
+    if args.cap is not None:
         cfg = replace(cfg, mode_cap=args.cap)
     pipe = Pipeline(cfg, args.workers)
     try:

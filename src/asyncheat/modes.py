@@ -8,7 +8,6 @@ the rank-2 steady-state projector.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -167,25 +166,42 @@ def worst_case_mode(aspec: AugmentedSpec) -> ModeMatrix:
     )
 
 
-def _patterns(aspec: AugmentedSpec, cap: int):
-    """All q**E delay patterns, lexicographic; refuses more than ``cap``."""
-    m = aspec.mode_count
-    if m > cap:
+_CHUNK_MODES = 4096  # modes per stacked chunk of mode_batches
+
+
+def mode_batches(aspec: AugmentedSpec, cap: int):
+    """All q**E modes in stacked chunks, lexicographic in the delay pattern.
+
+    Yields ``(delays, w)``: an ``(m, E)`` intp block of delay patterns and
+    the ``(m, dim, dim)`` stack of their mode matrices, m <= _CHUNK_MODES.
+    The all-zero pattern (synchronous) comes first and the all-(q-1)
+    pattern (most delayed) last. Refuses more than ``cap`` modes.
+    """
+    total = aspec.mode_count
+    if total > cap:
         raise ModeCountError(
-            f"mode count {m} exceeds cap {cap}; "
+            f"mode count {total} exceeds cap {cap}; "
             "use the enumeration-free analysis paths"
         )
-    return itertools.product(range(aspec.buffer_len), repeat=aspec.num_edges)
+    q = aspec.buffer_len
+    place = q ** np.arange(aspec.num_edges)[::-1]
+    rows, nbs = aspec.edge_arrays
+    for lo in range(0, total, _CHUNK_MODES):
+        index = np.arange(lo, min(lo + _CHUNK_MODES, total))
+        delays = index[:, None] // place % q
+        w = np.repeat(aspec.base[None], len(index), 0)
+        w[np.arange(len(index))[:, None], rows,
+          delays * aspec.grid.total_points + nbs] = aspec.grid.r
+        yield delays, w
 
 
 def enumerate_modes(aspec: AugmentedSpec, cap: int = 100_000) -> list[ModeMatrix]:
-    """All q**E mode matrices, lexicographic in the delay pattern.
-
-    The all-zero pattern (synchronous) comes first and the all-(q-1)
-    pattern (most delayed) last. Refuses when the mode count exceeds
-    ``cap``.
-    """
-    return [build_mode_matrix(aspec, p) for p in _patterns(aspec, cap)]
+    """All q**E mode matrices as a list, in the order of ``mode_batches``."""
+    return [
+        ModeMatrix(w=w, delays=tuple(d))
+        for delays, ws in mode_batches(aspec, cap)
+        for d, w in zip(delays.tolist(), ws)
+    ]
 
 
 @dataclass(frozen=True)
@@ -275,37 +291,43 @@ def enumerated_expected_matrix(
     if proj is None:
         proj = build_projector(aspec)
     lam = np.zeros((aspec.dim, aspec.dim))
-    for pattern in _patterns(aspec, cap):
-        w = build_mode_matrix(aspec, pattern).w
-        lam += mode_probability(pattern, dist) * (w - proj.psi)
+    for delays, w in mode_batches(aspec, cap):
+        pi = mode_probability(delays, dist)
+        lam += np.tensordot(pi, w, 1) - pi.sum() * proj.psi
     return lam
 
 
-def mode_probability(delays, dist: SwitchingDistribution) -> float:
-    """Product of per-edge delay probabilities for one pattern."""
-    delays = np.asarray(delays, dtype=int).ravel()
-    if delays.shape[0] != dist.probs.shape[0]:
+def mode_probability(delays, dist: SwitchingDistribution):
+    """Product of per-edge delay probabilities along the last axis.
+
+    One pattern gives a scalar; an ``(m, E)`` block gives one probability
+    per row.
+    """
+    delays = np.asarray(delays, dtype=np.intp)
+    if delays.shape[-1:] != dist.probs.shape[:1]:
         raise ValueError("pattern length does not match distribution")
-    if delays.shape[0] == 0:
-        return 1.0
-    return float(np.prod(dist.probs[np.arange(len(delays)), delays]))
+    return np.prod(dist.probs[np.arange(delays.shape[-1]), delays], axis=-1)
 
 
 @dataclass(frozen=True)
 class EigenstructureReport:
-    """Numerical check of the shared eigenstructure of one mode."""
+    """Numerical check of the shared eigenstructure of one mode or a stack.
 
-    right_residuals: tuple[float, float]
-    left_residuals: tuple[float, float]
-    top_moduli: tuple[float, float, float]
-    inf_norm: float
-    passed: bool
+    Each entry is a numpy scalar for one matrix and an array over the
+    stack for an ``(m, dim, dim)`` stack.
+    """
+
+    right_residuals: tuple[np.ndarray, np.ndarray]
+    left_residuals: tuple[np.ndarray, np.ndarray]
+    top_moduli: tuple[np.ndarray, np.ndarray, np.ndarray]
+    inf_norm: np.ndarray
+    passed: np.ndarray
 
 
 def verify_eigenstructure(
     w, proj: SteadyStateProjector, tol: float = 1e-10
 ) -> EigenstructureReport:
-    """Check the two-unit-eigenvalue claim for one mode matrix.
+    """Check the two-unit-eigenvalue claim for one mode matrix or a stack.
 
     Verifies W v_i = v_i and s_i W = s_i, and that exactly the two
     largest eigenvalue moduli equal 1 within ``tol`` with the third
@@ -313,24 +335,24 @@ def verify_eigenstructure(
     """
     m = _as_matrix(w)
     rres = tuple(
-        float(np.linalg.norm(m @ v - v)) for v in (proj.v1, proj.v2)
+        np.linalg.norm(m @ v - v, axis=-1) for v in (proj.v1, proj.v2)
     )
     lres = tuple(
-        float(np.linalg.norm(s @ m - s)) for s in (proj.s1, proj.s2)
+        np.linalg.norm(s @ m - s, axis=-1) for s in (proj.s1, proj.s2)
     )
-    moduli = np.sort(np.abs(np.linalg.eigvals(m)))[::-1]
-    top = tuple(float(x) for x in moduli[:3])
+    moduli = np.sort(np.abs(np.linalg.eigvals(m)))[..., ::-1]
+    top = tuple(np.moveaxis(moduli[..., :3], -1, 0))
     passed = (
-        max(rres) < 1e-10
-        and max(lres) < 1e-10
-        and abs(top[0] - 1.0) < tol
-        and abs(top[1] - 1.0) < tol
-        and top[2] < 1.0 - 1e-12
+        (np.maximum(*rres) < 1e-10)
+        & (np.maximum(*lres) < 1e-10)
+        & (np.abs(top[0] - 1.0) < tol)
+        & (np.abs(top[1] - 1.0) < tol)
+        & (top[2] < 1.0 - 1e-12)
     )
     return EigenstructureReport(
         right_residuals=rres,
         left_residuals=lres,
         top_moduli=top,
-        inf_norm=float(np.max(np.abs(m).sum(axis=1))),
+        inf_norm=np.max(np.abs(m).sum(axis=-1), axis=-1),
         passed=passed,
     )

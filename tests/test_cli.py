@@ -111,6 +111,13 @@ class TestExitCodes:
         code = main(["verify", "--config", path, "--cap", "100"])
         assert code == EXIT_CONFIG
 
+    def test_mode_cap_zero_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        code = main(["verify", "--config", path, "--cap", "0"])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config"
+
     def test_numerical_failure_exit_3(self, tmp_path, capsys, monkeypatch):
         from asyncheat import analysis, cli
 
@@ -268,19 +275,28 @@ class TestVerify:
         assert main(["verify", "--config", path]) == EXIT_OK
 
     def test_enumerates_modes_once(self, tmp_path, monkeypatch):
+        """verify holds no mode list: it streams bounded chunks."""
         from asyncheat import cli
 
-        calls = []
-        real = cli.modes.enumerate_modes
+        calls, sizes = [], []
+        real_list = cli.modes.enumerate_modes
+        real_batches = cli.modes.mode_batches
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return real(*args, **kwargs)
+            return real_list(*args, **kwargs)
+
+        def batches(*args, **kwargs):
+            for delays, w in real_batches(*args, **kwargs):
+                sizes.append(len(w))
+                yield delays, w
 
         monkeypatch.setattr(cli.modes, "enumerate_modes", counted)
+        monkeypatch.setattr(cli.modes, "mode_batches", batches)
         path = write_config(tmp_path)
         assert main(["verify", "--config", path]) == EXIT_OK
-        assert len(calls) == 1
+        assert calls == []
+        assert sizes and max(sizes) <= cli.modes._CHUNK_MODES
 
 
 class TestCompare:

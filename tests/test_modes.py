@@ -66,6 +66,76 @@ class TestEnumerateModes:
             ah.enumerate_modes(aspec, cap=1000)
 
 
+BATCH_SHAPES = [(1, 4, 3), (3, 1, 1), (4, 4, 2), (6, 1, 3)]
+
+
+class TestModeBatches:
+    """The streamed chunks equal the per-pattern construction, in order."""
+
+    @pytest.mark.parametrize("num_pes, points_per_pe, q", BATCH_SHAPES)
+    def test_matches_product_order(self, num_pes, points_per_pe, q):
+        aspec = ah.AugmentedSpec(
+            grid=exact_spec(num_pes, points_per_pe), buffer_len=q
+        )
+        chunks = list(ah.modes.mode_batches(aspec, aspec.mode_count))
+        patterns = [tuple(d) for delays, _ in chunks for d in delays.tolist()]
+        assert patterns == list(
+            itertools.product(range(q), repeat=aspec.num_edges)
+        )
+        sizes = [len(w) for _, w in chunks]
+        assert len(sizes) == -(-aspec.mode_count // ah.modes._CHUNK_MODES)
+        assert set(sizes[:-1]) <= {ah.modes._CHUNK_MODES}
+        for delays, w in chunks:
+            assert delays.dtype == np.intp
+            assert w.shape == (len(delays), aspec.dim, aspec.dim)
+            for d, wi in zip(delays, w):
+                assert np.array_equal(wi, ah.build_mode_matrix(aspec, d).w)
+
+    @pytest.mark.parametrize("num_pes, points_per_pe, q", BATCH_SHAPES)
+    def test_stacked_eigenstructure_equals_per_mode(
+        self, num_pes, points_per_pe, q
+    ):
+        aspec = ah.AugmentedSpec(
+            grid=exact_spec(num_pes, points_per_pe), buffer_len=q
+        )
+        proj = ah.build_projector(aspec)
+        w = next(ah.modes.mode_batches(aspec, aspec.mode_count))[1][:100]
+        w[::3] *= 1.01  # every third matrix fails the check
+        stacked = ah.verify_eigenstructure(w, proj)
+        singles = [ah.verify_eigenstructure(wi, proj) for wi in w]
+        assert not stacked.passed[0] and stacked.passed[1:3].all()
+        for field in ("right_residuals", "left_residuals", "top_moduli"):
+            for j, entry in enumerate(getattr(stacked, field)):
+                assert entry.shape == (len(w),)
+                assert np.array_equal(
+                    entry, [getattr(r, field)[j] for r in singles]
+                )
+        for field in ("inf_norm", "passed"):
+            assert np.array_equal(
+                getattr(stacked, field), [getattr(r, field) for r in singles]
+            )
+            assert np.ndim(getattr(singles[0], field)) == 0
+
+    @pytest.mark.parametrize("num_pes, points_per_pe, q", BATCH_SHAPES)
+    def test_block_probability_equals_rows(self, num_pes, points_per_pe, q):
+        aspec = ah.AugmentedSpec(
+            grid=exact_spec(num_pes, points_per_pe), buffer_len=q
+        )
+        rng = np.random.default_rng(num_pes * 100 + points_per_pe * 10 + q)
+        probs = rng.random((aspec.num_edges, q))
+        probs /= probs.sum(axis=1, keepdims=True)
+        dist = ah.SwitchingDistribution(probs)
+        delays = next(ah.modes.mode_batches(aspec, aspec.mode_count))[0]
+        block = ah.mode_probability(delays, dist)
+        assert block.shape == (len(delays),)
+        assert np.array_equal(
+            block, [ah.mode_probability(d, dist) for d in delays]
+        )
+        if aspec.num_edges == 0:
+            assert ah.mode_probability((), dist) == 1.0
+            assert np.array_equal(block, [1.0])
+
+
 class TestBuildModeMatrix:
     def test_zero_pattern_top_row_is_sync(self, aspec32):
         m = ah.build_mode_matrix(aspec32, (0, 0))
