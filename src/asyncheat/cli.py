@@ -428,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument(
         "--workers", type=int, default=os.cpu_count() or 1,
-        help="ensemble worker threads",
+        help="threads that split each ensemble batch's runs (>= 1)",
     )
     parser.add_argument(
         "--cap", type=int, default=None,
@@ -448,6 +448,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
     except ConfigError as exc:
         return _error("config", exc, EXIT_CONFIG)
+    if args.workers < 1:
+        return _error(
+            "config", ConfigError("--workers must be >= 1"), EXIT_CONFIG
+        )
 
     outdir = args.out or cfg.output_dir or "."
     try:

@@ -8,7 +8,7 @@ stream, so no run's trajectory depends on how runs are batched.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +22,11 @@ from .grid import (
 from .modes import AugmentedSpec, SwitchingDistribution
 
 _CHUNK_STEPS = 256  # delay pre-sampling granularity
+# A slice buffers its block-0 rows for at most this many steps before
+# folding them onto the axis-0 sums, and the batch's fold buffer takes at
+# most about this many bytes, so big batches fold more often.
+_FOLD_STEPS = 32
+_FOLD_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -224,64 +229,166 @@ def run_seed_sequence(base_seed: int, run_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=base_seed, spawn_key=(run_index,))
 
 
-def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=()):
+class _Aborted(Exception):
+    """Stops a slice after another slice of its batch has failed."""
+
+
+class _RunOrder:
+    """Hands the per-step axis-0 sums from slice to slice in run order.
+
+    Slice i folds a window of steps onto the sums only after slice i-1
+    has folded it. The first exception of any slice is kept in ``error``
+    and wakes every waiter, so each slice stops at its next window.
+    """
+
+    def __init__(self, slices: int):
+        self._cond = threading.Condition()
+        self._folded = [0] * slices  # steps each slice has folded
+        self.error: BaseException | None = None
+
+    def wait(self, i: int, stop: int) -> None:
+        """Block until slice i-1 has folded the steps before ``stop``."""
+        with self._cond:
+            self._cond.wait_for(
+                lambda: self.error is not None
+                or i == 0
+                or self._folded[i - 1] >= stop
+            )
+            if self.error is not None:
+                raise _Aborted
+
+    def folded(self, i: int, stop: int) -> None:
+        with self._cond:
+            self._folded[i] = stop
+            self._cond.notify_all()
+
+    def abort(self, exc: BaseException) -> None:
+        with self._cond:
+            if self.error is None:
+                self.error = exc
+            self._cond.notify_all()
+
+
+def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1):
     """Core engine: simulate len(seeds) runs in lockstep.
+
+    The runs are split into ``workers`` contiguous slices (at most one a
+    run), each stepped on its own thread with its own stencil plan and
+    streams; the per-run norms are row-independent, so each slice writes
+    its own rows. The per-step axis-0 sums stay one sequential sum in run
+    order: every few steps (see ``_FOLD_STEPS``) a slice adds its buffered
+    block-0 rows onto the sums the previous slice left. Blocks 1..q-1 of the
+    state are block 0 at earlier steps, bit for bit, so their sums and
+    maxima are filled in from those steps after the join. No output
+    depends on ``workers``.
 
     Returns per-run error/inf norms, the per-step sum and sum-of-squares
     of error vectors (for cross-batch merging), and snapshots of the
     newest grid state of run 0 at the requested steps.
     """
     aspec = cfg.aspec
-    runs = len(seeds)
-    plan = _StencilPlan(aspec, runs)
-    q, d = aspec.buffer_len, aspec.dim
-    ramp = steady_state_profile(aspec.grid, cfg.bc)
-    xss = np.tile(ramp, q)
+    runs, steps = len(seeds), cfg.steps
+    q, nn, d = aspec.buffer_len, aspec.grid.total_points, aspec.dim
+    xss = np.tile(steady_state_profile(aspec.grid, cfg.bc), q)
+    cdf = cfg.dist.cdf
+    num_edges = aspec.num_edges
+    chunk_steps = min(_CHUNK_STEPS, steps)
+    slices = min(workers, runs)
+    bounds = [runs * i // slices for i in range(slices + 1)]
+    fold_step_bytes = 2 * (runs + slices) * nn * 8
+    window = max(
+        1, min(_FOLD_STEPS, steps + 1, _FOLD_BYTES // fold_step_bytes)
+    )
 
+    # Batch-wide buffers, of which each slice takes its rows. They are
+    # allocated on this thread: buffers freed in a worker thread's malloc
+    # arena stay resident.
     hist = np.tile(cfg.initial, (runs, q, 1))
     spare = hist.copy()
-    rngs = [np.random.default_rng(s) for s in seeds]
-    cdf = cfg.dist.cdf
-    steps = cfg.steps
-    chunk_steps = min(_CHUNK_STEPS, steps)
-    u = np.empty((chunk_steps, plan.num_edges))
     delays = np.empty(
-        (chunk_steps, runs, plan.num_edges), dtype=np.min_scalar_type(q - 1)
+        (chunk_steps, runs, num_edges), dtype=np.min_scalar_type(q - 1)
     )
-    err = np.empty((runs, d))
-    sq = np.empty((runs, d))
+    es = np.empty((2, runs, d))  # err and err*err
+    # block 0 of es over a window of steps, with one more row per slice
+    # for the previous slice's sums: fold_step_bytes a step
+    fold = np.empty((2, window, runs + slices, nn))
 
     error_norms = np.empty((runs, steps + 1))
     inf_norms = np.empty((runs, steps + 1))
-    sum_error = np.empty((steps + 1, d))
-    sumsq_error = np.empty((steps + 1, d))
+    sums = np.empty((2, steps + 1, d))  # of err and of err*err
     snapshot_steps = set(snapshot_steps)
     snapshots: dict[int, np.ndarray] = {}
+    order = _RunOrder(slices)
 
-    def record(k):
-        # the norm is np.linalg.norm(err, axis=1) spelled out, sharing sq
-        np.subtract(hist.reshape(runs, d), xss, out=err)
-        np.multiply(err, err, out=sq)
-        error_norms[:, k] = np.sqrt(np.add.reduce(sq, axis=1))
-        np.add.reduce(sq, axis=0, out=sumsq_error[k])
-        np.add.reduce(err, axis=0, out=sum_error[k])
-        inf_norms[:, k] = np.abs(err, out=err).max(axis=1)
-        if k in snapshot_steps:
-            snapshots[k] = hist[0, 0].copy()
+    def step_slice(i):
+        lo, hi = bounds[i], bounds[i + 1]
+        n = hi - lo
+        plan = _StencilPlan(aspec, n)
+        rngs = [np.random.default_rng(s) for s in seeds[lo:hi]]
+        u = np.empty((chunk_steps, num_edges))
+        cur, nxt = hist[lo:hi], spare[lo:hi]
+        mine = es[:, lo:hi]
+        err, sq = mine
+        buf = fold[:, :, lo + i:hi + i + 1]
+        norms, maxima = error_norms[lo:hi], inf_norms[lo:hi]
 
-    record(0)
-    k = 0
-    while k < steps:
-        chunk = min(_CHUNK_STEPS, steps - k)
-        for i, rng in enumerate(rngs):
-            rng.random(out=u[:chunk])
-            _count_delays(u[:chunk], cdf, delays[:chunk, i])
-        for t in range(chunk):
-            _advance(hist, spare, delays[t], plan)
-            hist, spare = spare, hist
-            k += 1
-            record(k)
-    return error_norms, inf_norms, sum_error, sumsq_error, snapshots
+        for k in range(steps + 1):
+            if k:
+                t = (k - 1) % _CHUNK_STEPS
+                if t == 0:
+                    chunk = min(_CHUNK_STEPS, steps - k + 1)
+                    for j, rng in enumerate(rngs, lo):
+                        rng.random(out=u[:chunk])
+                        _count_delays(u[:chunk], cdf, delays[:chunk, j])
+                _advance(cur, nxt, delays[t, lo:hi], plan)
+                cur, nxt = nxt, cur
+            # the norm is np.linalg.norm(err, axis=1) spelled out, sharing sq
+            np.subtract(cur.reshape(n, d), xss, out=err)
+            np.multiply(err, err, out=sq)
+            norms[:, k] = np.sqrt(np.add.reduce(sq, axis=1))
+            slot = k % window
+            buf[:, slot, 1:] = mine[:, :, :nn]
+            block = err[:, :nn]
+            maxima[:, k] = np.abs(block, out=block).max(axis=1)
+            if i == 0 and k in snapshot_steps:
+                snapshots[k] = cur[0, 0].copy()
+            if slot == window - 1 or k == steps:
+                order.wait(i, k + 1)
+                done = sums[:, k - slot:k + 1, :nn]
+                if i:
+                    buf[:, :slot + 1, 0] = done
+                # slice 0 starts from its own first row
+                first = 0 if i else 1
+                np.add.reduce(buf[:, :slot + 1, first:], axis=2, out=done)
+                order.folded(i, k + 1)
+
+    def run(i):
+        try:
+            step_slice(i)
+        except BaseException as exc:  # re-raised by the caller below
+            order.abort(exc)
+
+    started = []
+    try:
+        for i in range(1, slices):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            started.append(thread)
+    except RuntimeError as exc:  # can't start new thread
+        order.abort(exc)
+    run(0)
+    for thread in started:
+        thread.join()
+    if order.error is not None:
+        raise order.error
+    # block b at step k is block 0 at step max(k - b, 0)
+    block0 = inf_norms.copy()
+    for b in range(1, q):
+        cols = sums[:, :, b * nn:(b + 1) * nn]
+        cols[:, b:] = sums[:, :-b, :nn]
+        cols[:, :b] = sums[:, :1, :nn]
+        np.maximum(inf_norms[:, b:], block0[:, :-b], out=inf_norms[:, b:])
+    return error_norms, inf_norms, sums[0], sums[1], snapshots
 
 
 def run_trajectory(cfg: RunConfig, snapshot_steps=()) -> Trajectory:
@@ -302,30 +409,24 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Seeded ensemble; run i uses a counter-derived seed from cfg.seed.
 
-    Runs are partitioned into batches; batches may execute on a thread
-    pool. Per-run streams are independent, so the per-run norms do not
-    depend on the partition. The mean and variance do in the last bits,
-    since batch sums are added in batch order; the thread count changes
-    nothing.
+    Runs are partitioned into batches of ``batch_size``, simulated one
+    after another; ``workers`` threads split each batch's runs. Per-run
+    streams are independent, so the per-run norms do not depend on the
+    partition. The mean and variance do in the last bits, since batch
+    sums are added in batch order; the thread count changes nothing.
     """
     if num_runs < 1:
         raise ValueError("num_runs must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     seeds = [run_seed_sequence(cfg.seed, i) for i in range(num_runs)]
-    batches = [
-        (lo, seeds[lo:lo + batch_size])
+    results = [
+        _simulate_batch(
+            cfg, seeds[lo:lo + batch_size],
+            snapshot_steps if lo == 0 else (), workers,
+        )
         for lo in range(0, num_runs, batch_size)
     ]
-
-    def work(item):
-        lo, batch_seeds = item
-        snaps = snapshot_steps if lo == 0 else ()
-        return _simulate_batch(cfg, batch_seeds, snaps)
-
-    if workers > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, batches))
-    else:
-        results = [work(b) for b in batches]
 
     error_norms = np.concatenate([res[0] for res in results], axis=0)
     inf_norms = np.concatenate([res[1] for res in results], axis=0)

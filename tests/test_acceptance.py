@@ -18,6 +18,7 @@ import pytest
 
 import asyncheat as ah
 from asyncheat.analysis import lyapunov_series
+from asyncheat.cli import _fmt
 from asyncheat.cli import main as cli_main
 from asyncheat.modes import enumerated_expected_matrix
 from conftest import exact_spec
@@ -327,6 +328,34 @@ def test_flagship_tail_constants_match_committed_certificate(
         "relative of the committed certificate",
         tc.k0 == golden["k0"] and rel <= 1e-9,
         f"k0 {tc.k0} vs {golden['k0']}, worst relative gap {rel:.1e}",
+    )
+
+
+def test_flagship_ensemble_matches_committed_csv(paper_problem, paper_ensemble):
+    """The session ensemble reproduces results/flagship/async_ensemble.csv.
+
+    The fixture runs on every core, so this pins the split batch's bytes.
+    """
+    path = os.path.join(
+        os.path.dirname(__file__), "..", "results", "flagship",
+        "async_ensemble.csv",
+    )
+    with open(path, encoding="utf-8") as fh:
+        golden = fh.read().splitlines()
+    ens = paper_ensemble
+    columns = (
+        ens.mean_error_norm, ens.mean_sq_error, ens.inf_norms.max(axis=0)
+    )
+    rows = ["step,mean_error_norm,mean_sq_error,max_inf_error"] + [
+        ",".join([str(k), *(_fmt(c[k]) for c in columns)])
+        for k in range(paper_problem.steps + 1)
+    ]
+    differing = sum(a != b for a, b in zip(rows, golden))
+    _report(
+        "flagship ensemble: async_ensemble.csv reproduced string for string",
+        len(rows) == len(golden) and differing == 0,
+        f"{differing} of {len(golden)} lines differ, "
+        f"{len(rows)} rows against {len(golden)}",
     )
 
 

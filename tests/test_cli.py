@@ -118,6 +118,18 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "config"
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_exit_2(self, tmp_path, capsys, workers):
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", path, "--out", str(out),
+                     "--workers", workers])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config"
+        assert "--workers" in err["message"]
+
     def test_numerical_failure_exit_3(self, tmp_path, capsys, monkeypatch):
         from asyncheat import analysis, cli
 

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -170,6 +173,23 @@ class TestTrajectory:
         assert traj.error_norms[-1] < 1e-6 * traj.error_norms[0]
 
 
+def _raised_within(call, timeout=30):
+    """Run ``call`` on a daemon thread; the RuntimeErrors it raised."""
+    caught = []
+
+    def target():
+        try:
+            call()
+        except RuntimeError as exc:
+            caught.append(exc)
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive()
+    return caught
+
+
 class TestEnsemble:
     def test_deterministic_for_fixed_seed(self):
         cfg = make_config(steps=40)
@@ -224,6 +244,70 @@ class TestEnsemble:
     def test_rejects_zero_runs(self):
         with pytest.raises(ValueError):
             ah.run_ensemble(make_config(), 0)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_nonpositive_workers(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            ah.run_ensemble(make_config(), 4, workers=workers)
+
+    def test_workers_do_not_change_bytes(self):
+        """One batch; more workers than cores, with frequent thread
+        switches, must not reorder the run-order sums."""
+        cfg = make_config(num_pes=6, q=3, steps=70, epsilons=(0.01, 1.0))
+        ref = ah.run_ensemble(cfg, 11, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            others = {w: ah.run_ensemble(cfg, 11, workers=w) for w in (2, 4)}
+        finally:
+            sys.setswitchinterval(interval)
+        for workers, other in others.items():
+            for name in ("error_norms", "inf_norms", "mean_error",
+                         "var_error", "exceedance_table"):
+                assert np.array_equal(
+                    getattr(ref, name), getattr(other, name)
+                ), (name, workers)
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_failing_slice_stops_every_slice(self, monkeypatch, failing):
+        """A slice that raises wakes the others; the caller re-raises."""
+        baseline = threading.active_count()
+        real = sim._advance
+        slice_rows = (3, 4)  # 7 runs on 2 workers
+
+        def advance(hist, out, delays, plan):
+            if hist.shape[0] == slice_rows[failing]:
+                raise RuntimeError("slice failed")
+            real(hist, out, delays, plan)
+
+        monkeypatch.setattr(sim, "_advance", advance)
+        cfg = make_config(num_pes=6, q=3, steps=5_000)
+        caught = _raised_within(lambda: ah.run_ensemble(cfg, 7, workers=2))
+        assert [str(e) for e in caught] == ["slice failed"]
+        assert threading.active_count() == baseline
+
+    def test_thread_that_cannot_start_stops_the_batch(self, monkeypatch):
+        baseline = threading.active_count()
+        real = threading.Thread.start
+        calls = []
+
+        def start(thread):
+            calls.append(thread)
+            if len(calls) == 2:
+                raise RuntimeError("can't start new thread")
+            real(thread)
+
+        def call():
+            # patched only once the test's own thread is running
+            monkeypatch.setattr(threading.Thread, "start", start)
+            try:
+                ah.run_ensemble(make_config(steps=5_000), 7, workers=3)
+            finally:
+                monkeypatch.undo()
+
+        caught = _raised_within(call)
+        assert [str(e) for e in caught] == ["can't start new thread"]
+        assert threading.active_count() == baseline
 
     def test_mean_error_agrees_with_direct_average(self):
         cfg = make_config(num_pes=4, q=2, steps=15)
@@ -362,11 +446,20 @@ def _skewed_dist():
 class TestEngineOracle:
     """The batch engine equals the reference engine bit for bit."""
 
-    @pytest.mark.parametrize("runs", [1, 7])
+    @pytest.mark.parametrize(
+        "runs, workers",
+        # 7 runs on 2 or 3 workers give uneven slices
+        [(1, 1), (7, 1), (1, 2), (7, 2), (1, 3), (7, 3)],
+        ids=["1", "7", "1-w2", "7-w2", "1-w3", "7-w3"],
+    )
     @pytest.mark.parametrize(
         "kw, snaps",
         [
             (dict(num_pes=5, q=2, steps=50), (0, 25, 50)),
+            (dict(num_pes=5, q=3, steps=0), (0,)),
+            # the last fold window is a partial one
+            (dict(num_pes=6, q=3, steps=3 * sim._FOLD_STEPS + 5, seed=9),
+             (0, sim._FOLD_STEPS, 3 * sim._FOLD_STEPS + 5)),
             # 600 steps cross the 256-step sampling chunk boundary twice;
             # r != 0.5 makes the (1-2r)*u_i term, and so the operand
             # order of the update, visible in the last bits
@@ -376,12 +469,13 @@ class TestEngineOracle:
             (dict(num_pes=4, points_per_pe=4, q=4, steps=300, seed=3, r=0.3,
                   dist=_skewed_dist()), (0, 300)),
         ],
-        ids=["N5q2", "N6q3-600", "N8q1", "4x4q4-skewed"],
+        ids=["N5q2", "N5q3-0", "N6q3-fold", "N6q3-600", "N8q1",
+             "4x4q4-skewed"],
     )
-    def test_matches_reference_engine(self, kw, snaps, runs):
+    def test_matches_reference_engine(self, kw, snaps, runs, workers):
         cfg = make_config(**kw)
         seeds = [run_seed_sequence(cfg.seed, i) for i in range(runs)]
-        got = sim._simulate_batch(cfg, seeds, snaps)
+        got = sim._simulate_batch(cfg, seeds, snaps, workers)
         want = _ref_simulate_batch(cfg, seeds, snaps)
         for g, w in zip(got[:4], want[:4]):
             assert np.array_equal(g, w)
