@@ -4,6 +4,13 @@ The simulator works on buffered grid states (O(Nnq) memory per run), never
 on explicit mode matrices; trajectories are vectorized across ensemble
 runs. Each run owns an independent, deterministically derived random
 stream, so no run's trajectory depends on how runs are batched.
+
+Blocks 1..q-1 of the augmented state X(k) are block 0 at earlier steps,
+bit for bit, so the per-step ensemble sums are kept for block 0 only:
+latest first, as (steps+q, Nn) rows where row steps-j holds step j and
+the q-1 trailing rows repeat step 0. The q rows from row steps-k are then
+step k's whole augmented vector, and the (steps+1, Nnq) statistics are
+read-only overlapping views of those rows (see ``_augmented``).
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import (
     BoundaryConditions,
@@ -189,6 +197,9 @@ class EnsembleResult:
 
     ``mean_error`` averages error vectors across runs before any norm is
     taken; ``error_norms`` holds each run's Euclidean error norm.
+    ``mean_error`` and ``var_error`` are read-only views whose rows overlap
+    (row k's block b is block 0 of row max(k-b, 0)), so they hold
+    O(steps*Nn) numbers, not O(steps*Nnq); copy them before writing.
     """
 
     num_runs: int
@@ -269,7 +280,19 @@ class _RunOrder:
             self._cond.notify_all()
 
 
-def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1):
+def _augmented(block0: np.ndarray, q: int) -> np.ndarray:
+    """Read-only (steps+1, q*Nn) view of latest-first block-0 rows.
+
+    ``block0`` is a C-contiguous (steps+q, Nn) array whose row steps-j holds
+    step j and whose last q-1 rows repeat step 0. Row k of the view is
+    [block 0 at steps k, k-1, ..., k-q+1], each clamped at step 0.
+    """
+    nn = block0.shape[1]
+    return sliding_window_view(block0.reshape(-1), q * nn)[::nn][::-1]
+
+
+def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
+                    out=None):
     """Core engine: simulate len(seeds) runs in lockstep.
 
     The runs are split into ``workers`` contiguous slices (at most one a
@@ -278,12 +301,17 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1):
     its own rows. The per-step axis-0 sums stay one sequential sum in run
     order: every few steps (see ``_FOLD_STEPS``) a slice adds its buffered
     block-0 rows onto the sums the previous slice left. Blocks 1..q-1 of the
-    state are block 0 at earlier steps, bit for bit, so their sums and
-    maxima are filled in from those steps after the join. No output
-    depends on ``workers``.
+    state are block 0 at earlier steps, bit for bit, so only block 0 is
+    summed, into latest-first rows (see the module docstring), and the row
+    maxima over the blocks are windowed maxima of block 0's after the join.
+    No output depends on ``workers``.
 
-    Returns per-run error/inf norms, the per-step sum and sum-of-squares
-    of error vectors (for cross-batch merging), and snapshots of the
+    ``out``, if given, is (error_norms, inf_norms, sums) to write into,
+    of shapes (runs, steps+1), (runs, steps+1) and (2, steps+q, Nn); the
+    latter holds the block-0 sums of err and err*err.
+
+    Returns per-run error/inf norms, read-only (steps+1, dim) views of the
+    per-step sum and sum-of-squares of error vectors, and snapshots of the
     newest grid state of run 0 at the requested steps.
     """
     aspec = cfg.aspec
@@ -313,9 +341,11 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1):
     # for the previous slice's sums: fold_step_bytes a step
     fold = np.empty((2, window, runs + slices, nn))
 
-    error_norms = np.empty((runs, steps + 1))
-    inf_norms = np.empty((runs, steps + 1))
-    sums = np.empty((2, steps + 1, d))  # of err and of err*err
+    if out is None:
+        out = (np.empty((runs, steps + 1)), np.empty((runs, steps + 1)),
+               np.empty((2, steps + q, nn)))
+    error_norms, inf_norms, sums = out
+    by_step = sums[:, steps::-1]  # by_step[:, k] is step k's row
     snapshot_steps = set(snapshot_steps)
     snapshots: dict[int, np.ndarray] = {}
     order = _RunOrder(slices)
@@ -354,7 +384,7 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1):
                 snapshots[k] = cur[0, 0].copy()
             if slot == window - 1 or k == steps:
                 order.wait(i, k + 1)
-                done = sums[:, k - slot:k + 1, :nn]
+                done = by_step[:, k - slot:k + 1]
                 if i:
                     buf[:, :slot + 1, 0] = done
                 # slice 0 starts from its own first row
@@ -382,13 +412,22 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1):
     if order.error is not None:
         raise order.error
     # block b at step k is block 0 at step max(k - b, 0)
-    block0 = inf_norms.copy()
-    for b in range(1, q):
-        cols = sums[:, :, b * nn:(b + 1) * nn]
-        cols[:, b:] = sums[:, :-b, :nn]
-        cols[:, :b] = sums[:, :1, :nn]
-        np.maximum(inf_norms[:, b:], block0[:, :-b], out=inf_norms[:, b:])
-    return error_norms, inf_norms, sums[0], sums[1], snapshots
+    sums[:, steps + 1:] = sums[:, steps:steps + 1]
+    # so the row maximum at step k is the max of block 0's at steps
+    # max(k-q+1, 0)..k; chunks of steps go from the last down, so each
+    # reads block-0 maxima that no chunk has overwritten yet
+    for hi in range(steps + 1, 0, -_CHUNK_STEPS):
+        lo = max(hi - _CHUNK_STEPS, 0)
+        src_lo = max(lo - q + 1, 0)
+        src = inf_norms[:, src_lo:hi].copy()
+        for b in range(1, q):
+            k0 = max(lo, b)
+            np.maximum(
+                inf_norms[:, k0:hi], src[:, k0 - b - src_lo:hi - b - src_lo],
+                out=inf_norms[:, k0:hi],
+            )
+    return (error_norms, inf_norms, _augmented(sums[0], q),
+            _augmented(sums[1], q), snapshots)
 
 
 def run_trajectory(cfg: RunConfig, snapshot_steps=()) -> Trajectory:
@@ -405,7 +444,6 @@ def run_ensemble(
     num_runs: int,
     workers: int = 1,
     batch_size: int = 512,
-    snapshot_steps=(),
 ) -> EnsembleResult:
     """Seeded ensemble; run i uses a counter-derived seed from cfg.seed.
 
@@ -414,37 +452,48 @@ def run_ensemble(
     streams are independent, so the per-run norms do not depend on the
     partition. The mean and variance do in the last bits, since batch
     sums are added in batch order; the thread count changes nothing.
+    Each batch writes its rows of the norm arrays, and its block-0 sums
+    are added in place, so memory is the per-run norms plus O(steps*Nn).
     """
     if num_runs < 1:
         raise ValueError("num_runs must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     seeds = [run_seed_sequence(cfg.seed, i) for i in range(num_runs)]
-    results = [
-        _simulate_batch(
-            cfg, seeds[lo:lo + batch_size],
-            snapshot_steps if lo == 0 else (), workers,
-        )
-        for lo in range(0, num_runs, batch_size)
-    ]
+    steps, q = cfg.steps, cfg.aspec.buffer_len
+    error_norms = np.empty((num_runs, steps + 1))
+    inf_norms = np.empty((num_runs, steps + 1))
+    # block-0 sums of err and err*err (see _simulate_batch); the first
+    # batch writes them, each later one adds its own from ``spare``
+    total = np.empty((2, steps + q, cfg.aspec.grid.total_points))
+    spare = np.empty_like(total) if num_runs > batch_size else None
+    for lo in range(0, num_runs, batch_size):
+        rows = slice(lo, lo + batch_size)
+        _simulate_batch(cfg, seeds[rows], (), workers,
+                        (error_norms[rows], inf_norms[rows],
+                         spare if lo else total))
+        if lo:
+            total += spare
+    del spare
 
-    error_norms = np.concatenate([res[0] for res in results], axis=0)
-    inf_norms = np.concatenate([res[1] for res in results], axis=0)
-    sum_error = sum(res[2] for res in results)
-    sumsq_error = sum(res[3] for res in results)
-    mean_error = sum_error / num_runs
+    # in place, in the operand order of (sumsq - n*mean**2) / (n-1)
+    mean, var = total
+    mean /= num_runs
     if num_runs > 1:
-        var_error = (sumsq_error - num_runs * mean_error**2) / (num_runs - 1)
-        var_error = np.maximum(var_error, 0.0)
+        square = np.square(mean)
+        square *= num_runs
+        var -= square
+        var /= num_runs - 1
+        np.maximum(var, 0.0, out=var)
     else:
-        var_error = np.zeros_like(mean_error)
+        var.fill(0.0)
     return EnsembleResult(
         num_runs=num_runs,
         epsilons=cfg.epsilons,
         error_norms=error_norms,
         inf_norms=inf_norms,
-        mean_error=mean_error,
-        var_error=var_error,
+        mean_error=_augmented(mean, q),
+        var_error=_augmented(var, q),
     )
 
 

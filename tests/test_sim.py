@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,26 @@ class TestEnsemble:
         assert [str(e) for e in caught] == ["can't start new thread"]
         assert threading.active_count() == baseline
 
+    def test_peak_memory_is_norms_plus_one_augmented_array(self):
+        """The sums are kept for block 0 only and batches merge in place."""
+        runs, steps, workers = 64, 3000, 2
+        cfg = make_config(num_pes=40, q=3, steps=steps)
+        dim, edges = cfg.aspec.dim, cfg.aspec.num_edges
+        chunk = min(sim._CHUNK_STEPS, steps)
+        norms = 2 * runs * (steps + 1) * 8
+        augmented = (steps + 1) * dim * 8
+        # the fold buffer, uint8 delays, both histories, err and err*err,
+        # and each slice's uniforms
+        batch = (sim._FOLD_BYTES + chunk * runs * edges
+                 + 4 * runs * dim * 8 + workers * chunk * edges * 8)
+        tracemalloc.start()
+        try:
+            ah.run_ensemble(cfg, runs, workers=workers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < norms + augmented + batch
+
     def test_mean_error_agrees_with_direct_average(self):
         cfg = make_config(num_pes=4, q=2, steps=15)
         res = ah.run_ensemble(cfg, 5)
@@ -482,6 +503,50 @@ class TestEngineOracle:
         assert got[4].keys() == want[4].keys() == set(snaps)
         for k in snaps:
             assert np.array_equal(got[4][k], want[4][k])
+
+
+class TestBlockZeroViews:
+    """mean_error and var_error are read-only views of block-0 rows."""
+
+    @pytest.mark.parametrize(
+        "kw, runs, batch_size",
+        [
+            (dict(num_pes=6, q=3, steps=40), 7, 512),
+            (dict(num_pes=6, q=1, steps=40), 7, 512),
+            (dict(num_pes=6, q=3, steps=0), 7, 512),
+            (dict(num_pes=6, q=3, steps=40), 7, 3),
+            (dict(num_pes=6, q=3, steps=40), 1, 512),
+        ],
+        ids=["q3", "q1", "steps0", "batches-of-3", "one-run"],
+    )
+    def test_views_hold_the_merged_block0_sums(self, kw, runs, batch_size):
+        cfg = make_config(**kw)
+        res = ah.run_ensemble(cfg, runs, batch_size=batch_size)
+        q, nn = cfg.aspec.buffer_len, cfg.aspec.grid.total_points
+        for stat in (res.mean_error, res.var_error):
+            assert stat.shape == (cfg.steps + 1, cfg.aspec.dim)
+            # rows overlap, so a write would change other steps
+            assert not stat.flags.writeable
+            with pytest.raises(ValueError):
+                stat[-1, 0] = 1.0
+            for k in range(cfg.steps + 1):
+                blocks = [stat[max(k - b, 0), :nn] for b in range(q)]
+                assert np.array_equal(stat[k], np.concatenate(blocks))
+        # the bytes of adding whole batch sums and then computing
+        # (sumsq - n*mean**2) / (n-1) out of place
+        seeds = [run_seed_sequence(cfg.seed, i) for i in range(runs)]
+        batches = [
+            _ref_simulate_batch(cfg, seeds[lo:lo + batch_size])
+            for lo in range(0, runs, batch_size)
+        ]
+        mean = sum(b[2] for b in batches) / runs
+        if runs > 1:
+            var = (sum(b[3] for b in batches) - runs * mean**2) / (runs - 1)
+            var = np.maximum(var, 0.0)
+        else:
+            var = np.zeros_like(mean)
+        assert np.array_equal(res.mean_error, mean)
+        assert np.array_equal(res.var_error, var)
 
 
 class TestSyncReference:
