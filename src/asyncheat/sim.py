@@ -6,9 +6,10 @@ runs. Each run owns an independent, deterministically derived random
 stream, so no run's trajectory depends on how runs are batched.
 
 Blocks 1..q-1 of the augmented state X(k) are block 0 at earlier steps,
-bit for bit, so the per-step ensemble sums are kept for block 0 only:
-latest first, as (steps+q, Nn) rows where row steps-j holds step j and
-the q-1 trailing rows repeat step 0. The q rows from row steps-k are then
+bit for bit, so the ensemble engine steps a ring of block-0 rows (see
+``_simulate_batch``) and keeps the per-step ensemble sums for block 0
+only: latest first, as (steps+q, Nn) rows where row steps-j holds step j
+and the q-1 trailing rows repeat step 0. The q rows from row steps-k are then
 step k's whole augmented vector, and the (steps+1, Nnq) statistics are
 read-only overlapping views of those rows (see ``_augmented``).
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -98,54 +100,58 @@ def init_state(initial: np.ndarray, q: int) -> AsyncSimState:
 class _StencilPlan:
     """Precomputed gather indices for the buffered update of ``runs`` runs.
 
-    A neighbour read is within-PE, a delay-0 read of the newest block,
-    unless a cross-PE edge supplies it. Per side (left, right), ``cols``
-    are the supplying edges, ``pos`` the interior positions they feed and
-    ``base`` the flat (runs, q, Nn) history index of their delay-0 read,
-    so a read with delay d sits at ``d * Nn + base``.
+    Each run's states are ``rows`` latest-first grid rows of a (runs, rows,
+    Nn) ring (see ``_advance``). A neighbour read is within-PE, a delay-0
+    read of the newest block, unless a cross-PE edge supplies it. Per side
+    (left, right), ``cols`` are the supplying edges, ``pos`` the interior
+    positions they feed, ``base`` the flat ring index of their delay-0
+    read counted from the previous state's first row, so a read with delay
+    d sits at ``d * Nn + base``, and ``idx`` the side's index buffer.
     """
 
-    def __init__(self, aspec: AugmentedSpec, runs: int):
+    def __init__(self, aspec: AugmentedSpec, runs: int, rows: int):
         g = aspec.grid
         nn = g.total_points
-        run_offset = np.arange(runs)[:, None] * aspec.dim
+        run_offset = np.arange(runs)[:, None] * (rows * nn)
         self.nn = nn
         self.r = g.r
-        self.num_edges = aspec.num_edges
-        rows, nbs = aspec.edge_arrays
+        edges, nbs = aspec.edge_arrays
         self.sides = []
         for shift in (-1, 1):
-            cols = np.flatnonzero(nbs - rows == shift)
-            points = rows[cols]
-            self.sides.append((cols, points - 1, run_offset + points + shift))
+            cols = np.flatnonzero(nbs - edges == shift)
+            points = edges[cols]
+            self.sides.append((cols, points - 1, run_offset + points + shift,
+                               np.empty((runs, len(cols)), dtype=np.intp)))
         # neighbour reads of the interior, rebuilt every step
         self.reads = np.empty((2, runs, nn - 2))
 
 
 def _advance(
-    hist: np.ndarray, out: np.ndarray, delays: np.ndarray, plan: _StencilPlan
+    ring: np.ndarray, r: int, delays: np.ndarray, plan: _StencilPlan
 ) -> None:
-    """One buffered update of a batch, written into ``out``.
+    """One buffered update of a batch, written into row ``r`` of ``ring``.
 
-    ``hist`` and ``out`` are distinct (runs, q, Nn) arrays; ``delays`` is
-    (runs, num_edges). The sum keeps the operand order
-    (1-2r)*u_i + r*left + r*right of the mode matrix product.
+    ``ring`` is (runs, rows, Nn) with each run's grid states latest first:
+    rows r+1..r+q hold the previous state's blocks 0..q-1, and only row r
+    is written. ``delays`` is (runs, num_edges). The sum keeps the operand
+    order (1-2r)*u_i + r*left + r*right of the mode matrix product.
     """
     nn = plan.nn
-    flat = hist.reshape(-1)
-    for shift, (cols, pos, base), read in zip((-1, 1), plan.sides, plan.reads):
-        np.copyto(read, hist[:, 0, 1 + shift:nn - 1 + shift])
-        idx = delays[:, cols].astype(np.intp)
-        idx *= nn
+    flat = ring.reshape(-1)[(r + 1) * nn:]
+    prev = ring[:, r + 1]
+    for shift, (cols, pos, base, idx), read in zip(
+        (-1, 1), plan.sides, plan.reads
+    ):
+        np.copyto(read, prev[:, 1 + shift:nn - 1 + shift])
+        np.multiply(delays[:, cols], nn, out=idx, dtype=np.intp)
         idx += base
         read[:, pos] = flat.take(idx)
         read *= plan.r
-    new = out[:, 0, 1:-1]
-    np.multiply(hist[:, 0, 1:-1], 1.0 - 2.0 * plan.r, out=new)
+    new = ring[:, r, 1:-1]
+    np.multiply(prev[:, 1:-1], 1.0 - 2.0 * plan.r, out=new)
     new += plan.reads[0]
     new += plan.reads[1]
-    out[:, 0, ::nn - 1] = hist[:, 0, ::nn - 1]  # Dirichlet endpoints
-    out[:, 1:] = hist[:, :-1]
+    ring[:, r, ::nn - 1] = prev[:, ::nn - 1]  # Dirichlet endpoints
 
 
 def _count_delays(u: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -176,10 +182,11 @@ def async_step(
     mode matrix, exactly.
     """
     delays = aspec.check_delays(delays)
-    hist = state.history[None]
-    out = np.empty(hist.shape)
-    _advance(hist, out, delays[None, :], _StencilPlan(aspec, 1))
-    return AsyncSimState(history=out[0], step=state.step + 1)
+    q = aspec.buffer_len
+    ring = np.empty((1, q + 1, aspec.grid.total_points))
+    ring[0, 1:] = state.history
+    _advance(ring, 0, delays[None, :], _StencilPlan(aspec, 1, q + 1))
+    return AsyncSimState(history=ring[0, :q], step=state.step + 1)
 
 
 @dataclass(frozen=True)
@@ -200,6 +207,8 @@ class EnsembleResult:
     ``mean_error`` and ``var_error`` are read-only views whose rows overlap
     (row k's block b is block 0 of row max(k-b, 0)), so they hold
     O(steps*Nn) numbers, not O(steps*Nnq); copy them before writing.
+    ``mean_sq_error`` and ``exceedance_table`` are computed once, on first
+    read, and are read-only too.
     """
 
     num_runs: int
@@ -213,10 +222,10 @@ class EnsembleResult:
     def mean_error_norm(self) -> np.ndarray:
         return np.linalg.norm(self.mean_error, axis=1)
 
-    @property
+    @cached_property
     def mean_sq_error(self) -> np.ndarray:
-        """Empirical E[||e(k)||^2], for the Markov curve."""
-        return (self.error_norms**2).mean(axis=0)
+        """Empirical E[||e(k)||^2], for the Markov curve (read-only)."""
+        return _read_only((self.error_norms**2).mean(axis=0))
 
     @property
     def stderr_error(self) -> np.ndarray:
@@ -227,12 +236,20 @@ class EnsembleResult:
         """Empirical Pr(||e(k)||^2 > epsilon) per step."""
         return (self.error_norms**2 > epsilon).mean(axis=0)
 
-    @property
+    @cached_property
     def exceedance_table(self) -> np.ndarray:
-        """(steps+1, len(epsilons)) exceedance probabilities."""
-        return np.stack(
-            [self.exceedance(e) for e in self.epsilons], axis=1
-        ) if self.epsilons else np.zeros((self.error_norms.shape[1], 0))
+        """(steps+1, len(epsilons)) exceedance probabilities (read-only)."""
+        if not self.epsilons:
+            return _read_only(np.zeros((self.error_norms.shape[1], 0)))
+        squared = self.error_norms**2
+        return _read_only(np.stack(
+            [(squared > e).mean(axis=0) for e in self.epsilons], axis=1
+        ))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def run_seed_sequence(base_seed: int, run_index: int) -> np.random.SeedSequence:
@@ -295,16 +312,24 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
                     out=None):
     """Core engine: simulate len(seeds) runs in lockstep.
 
+    Blocks 1..q-1 of the augmented state are block 0 at earlier steps, bit
+    for bit, so each run keeps block-0 rows only: a latest-first ring of
+    window+q grid rows, in which X(k) is the q rows from row
+    window-1-(k mod window). A step writes one row (see ``_advance``), and
+    at the start of each window of steps the q newest rows are carried to
+    the ring's tail. err and err*err are computed for block 0 only, into
+    rings of the same layout, and a step's norm reduces its q rows of
+    err*err as one augmented row.
+
     The runs are split into ``workers`` contiguous slices (at most one a
     run), each stepped on its own thread with its own stencil plan and
     streams; the per-run norms are row-independent, so each slice writes
     its own rows. The per-step axis-0 sums stay one sequential sum in run
-    order: every few steps (see ``_FOLD_STEPS``) a slice adds its buffered
-    block-0 rows onto the sums the previous slice left. Blocks 1..q-1 of the
-    state are block 0 at earlier steps, bit for bit, so only block 0 is
-    summed, into latest-first rows (see the module docstring), and the row
-    maxima over the blocks are windowed maxima of block 0's after the join.
-    No output depends on ``workers``.
+    order: at the end of each window (see ``_FOLD_STEPS``) a slice adds its
+    err and err*err ring rows onto the sums the previous slice left. Only
+    block 0 is summed, into latest-first rows (see the module docstring),
+    and the row maxima over the blocks are windowed maxima of block 0's
+    after the join. No output depends on ``workers``.
 
     ``out``, if given, is (error_norms, inf_norms, sums) to write into,
     of shapes (runs, steps+1), (runs, steps+1) and (2, steps+q, Nn); the
@@ -316,8 +341,8 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
     """
     aspec = cfg.aspec
     runs, steps = len(seeds), cfg.steps
-    q, nn, d = aspec.buffer_len, aspec.grid.total_points, aspec.dim
-    xss = np.tile(steady_state_profile(aspec.grid, cfg.bc), q)
+    q, nn = aspec.buffer_len, aspec.grid.total_points
+    ramp = steady_state_profile(aspec.grid, cfg.bc)  # block 0 of X_ss
     cdf = cfg.dist.cdf
     num_edges = aspec.num_edges
     chunk_steps = min(_CHUNK_STEPS, steps)
@@ -327,25 +352,25 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
     window = max(
         1, min(_FOLD_STEPS, steps + 1, _FOLD_BYTES // fold_step_bytes)
     )
+    rows = window + q
 
     # Batch-wide buffers, of which each slice takes its rows. They are
     # allocated on this thread: buffers freed in a worker thread's malloc
     # arena stay resident.
-    hist = np.tile(cfg.initial, (runs, q, 1))
-    spare = hist.copy()
+    ring = np.empty((runs, rows, nn))
+    ring[:, window - 1:window - 1 + q] = cfg.initial  # X(0)
     delays = np.empty(
         (chunk_steps, runs, num_edges), dtype=np.min_scalar_type(q - 1)
     )
-    es = np.empty((2, runs, d))  # err and err*err
-    # block 0 of es over a window of steps, with one more row per slice
-    # for the previous slice's sums: fold_step_bytes a step
-    fold = np.empty((2, window, runs + slices, nn))
+    # err and err*err rings, with one more run row per slice for the
+    # previous slice's sums: fold_step_bytes a ring row
+    es = np.empty((2, runs + slices, rows, nn))
+    magnitude = np.empty((runs, nn))  # |err| of the newest row
 
     if out is None:
         out = (np.empty((runs, steps + 1)), np.empty((runs, steps + 1)),
                np.empty((2, steps + q, nn)))
     error_norms, inf_norms, sums = out
-    by_step = sums[:, steps::-1]  # by_step[:, k] is step k's row
     snapshot_steps = set(snapshot_steps)
     snapshots: dict[int, np.ndarray] = {}
     order = _RunOrder(slices)
@@ -353,43 +378,48 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
     def step_slice(i):
         lo, hi = bounds[i], bounds[i + 1]
         n = hi - lo
-        plan = _StencilPlan(aspec, n)
+        plan = _StencilPlan(aspec, n, rows)
         rngs = [np.random.default_rng(s) for s in seeds[lo:hi]]
         u = np.empty((chunk_steps, num_edges))
-        cur, nxt = hist[lo:hi], spare[lo:hi]
-        mine = es[:, lo:hi]
-        err, sq = mine
-        buf = fold[:, :, lo + i:hi + i + 1]
+        state = ring[lo:hi]
+        mine = es[:, lo + i:hi + i + 1]
+        err, sq = mine[:, 1:]
         norms, maxima = error_norms[lo:hi], inf_norms[lo:hi]
+        mag = magnitude[lo:hi]
 
         for k in range(steps + 1):
+            slot = k % window
+            r = window - 1 - slot  # X(k) is rows r..r+q-1
             if k:
+                if slot == 0:  # a new window: carry X(k-1) to the tail
+                    state[:, window:] = state[:, :q]
+                    sq[:, window:] = sq[:, :q]
                 t = (k - 1) % _CHUNK_STEPS
                 if t == 0:
                     chunk = min(_CHUNK_STEPS, steps - k + 1)
                     for j, rng in enumerate(rngs, lo):
                         rng.random(out=u[:chunk])
                         _count_delays(u[:chunk], cdf, delays[:chunk, j])
-                _advance(cur, nxt, delays[t, lo:hi], plan)
-                cur, nxt = nxt, cur
-            # the norm is np.linalg.norm(err, axis=1) spelled out, sharing sq
-            np.subtract(cur.reshape(n, d), xss, out=err)
-            np.multiply(err, err, out=sq)
-            norms[:, k] = np.sqrt(np.add.reduce(sq, axis=1))
-            slot = k % window
-            buf[:, slot, 1:] = mine[:, :, :nn]
-            block = err[:, :nn]
-            maxima[:, k] = np.abs(block, out=block).max(axis=1)
+                _advance(state, r, delays[t, lo:hi], plan)
+                new = slice(r, r + 1)
+            else:
+                new = slice(r, r + q)
+            np.subtract(state[:, new], ramp, out=err[:, new])
+            np.multiply(err[:, new], err[:, new], out=sq[:, new])
+            # np.linalg.norm(err, axis=1) over the augmented row, spelled out
+            augmented_sq = sq[:, r:r + q].reshape(n, q * nn)
+            norms[:, k] = np.sqrt(np.add.reduce(augmented_sq, axis=1))
+            maxima[:, k] = np.abs(err[:, r], out=mag).max(axis=1)
             if i == 0 and k in snapshot_steps:
-                snapshots[k] = cur[0, 0].copy()
+                snapshots[k] = state[0, r].copy()
             if slot == window - 1 or k == steps:
                 order.wait(i, k + 1)
-                done = by_step[:, k - slot:k + 1]
+                done = sums[:, steps - k:steps - k + slot + 1]
                 if i:
-                    buf[:, :slot + 1, 0] = done
-                # slice 0 starts from its own first row
+                    mine[:, 0, r:window] = done
+                # slice 0 starts from its own first run
                 first = 0 if i else 1
-                np.add.reduce(buf[:, :slot + 1, first:], axis=2, out=done)
+                np.add.reduce(mine[:, first:, r:window], axis=1, out=done)
                 order.folded(i, k + 1)
 
     def run(i):

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import asyncheat as ah
+from asyncheat import analysis
 from asyncheat.analysis import (
     HorizonExhaustedError,
     LyapunovError,
@@ -183,8 +186,23 @@ class TestTailConstants:
         assert ah.spectral_norm(p) ** 4 == pytest.approx(tc.c1, rel=1e-9)
 
     def test_horizon_exhausted_for_marginally_stable(self):
-        with pytest.raises(HorizonExhaustedError):
+        with pytest.raises(HorizonExhaustedError, match=r"1\.0, computed"):
             ah.tail_constants(np.eye(3), horizon=50)
+
+    def test_horizon_message_gives_a_true_lower_bound(self):
+        """A skipped power reports ||W~^k u||^4, at most its true value."""
+        m = np.zeros((3, 3))
+        m[0, 0] = 1.0
+        m[1:, 1:] = [[0.5, 10.0], [0.0, 0.5]]
+        with pytest.raises(HorizonExhaustedError) as caught:
+            ah.tail_constants(m, horizon=5)
+        found = re.search(r"at least (\S+), a lower bound", str(caught.value))
+        assert found
+        smallest = min(
+            ah.spectral_norm(np.linalg.matrix_power(m, k)) ** 4
+            for k in range(1, 6)
+        )
+        assert float(found.group(1)) <= smallest
 
     def test_paper_example(self):
         tc = ah.tail_constants(paper_worst_deflated())
@@ -236,6 +254,34 @@ class TestTailWalkOracle:
         assert got.k0 == want.k0
         assert got.c0 == pytest.approx(want.c0, rel=1e-12, abs=0)
         assert got.c1 == pytest.approx(want.c1, rel=1e-12, abs=0)
+
+    def test_steps_are_bit_identical_to_stepping_by_w_tilde(self):
+        """The walk drops W~'s columns that meet its zero rows (Psi's
+        dense columns among them); that drops only a*0.0 terms."""
+        import scipy.sparse
+
+        w_tilde = paper_worst_deflated(25, 3)
+        assert not w_tilde.any(axis=1).all()
+        step = scipy.sparse.csr_array(w_tilde)
+        want = np.eye(w_tilde.shape[0])
+        for k, m in analysis._powers(w_tilde, 200):
+            assert m.tobytes() == want.tobytes(), k
+            want = step @ want
+
+    def test_norm_checks_are_pruned(self, monkeypatch):
+        """Powers that can change neither k0 nor c0 skip the iteration:
+        37 of the 598 powers at N25-q3."""
+        w_tilde = paper_worst_deflated(25, 3)
+        calls = []
+
+        def counted(m, u0=None):
+            calls.append(1)
+            return _top_singular_value(m, u0)
+
+        monkeypatch.setattr(analysis, "_top_singular_value", counted)
+        tc = ah.tail_constants(w_tilde)
+        assert tc.k0 == 597
+        assert len(calls) <= 40
 
 
 class TestSecondMomentBound:

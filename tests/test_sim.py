@@ -276,10 +276,10 @@ class TestEnsemble:
         real = sim._advance
         slice_rows = (3, 4)  # 7 runs on 2 workers
 
-        def advance(hist, out, delays, plan):
-            if hist.shape[0] == slice_rows[failing]:
+        def advance(ring, r, delays, plan):
+            if ring.shape[0] == slice_rows[failing]:
                 raise RuntimeError("slice failed")
-            real(hist, out, delays, plan)
+            real(ring, r, delays, plan)
 
         monkeypatch.setattr(sim, "_advance", advance)
         cfg = make_config(num_pes=6, q=3, steps=5_000)
@@ -318,8 +318,9 @@ class TestEnsemble:
         chunk = min(sim._CHUNK_STEPS, steps)
         norms = 2 * runs * (steps + 1) * 8
         augmented = (steps + 1) * dim * 8
-        # the fold buffer, uint8 delays, both histories, err and err*err,
-        # and each slice's uniforms
+        # the state ring and the err and err*err rings (window + q rows a
+        # run, 2.2 MB here, inside the first and third terms), uint8
+        # delays and each slice's uniforms
         batch = (sim._FOLD_BYTES + chunk * runs * edges
                  + 4 * runs * dim * 8 + workers * chunk * edges * 8)
         tracemalloc.start()
@@ -329,6 +330,21 @@ class TestEnsemble:
         finally:
             tracemalloc.stop()
         assert peak < norms + augmented + batch
+
+    def test_tables_are_computed_once_and_read_only(self):
+        cfg = make_config(num_pes=6, q=3, steps=30, epsilons=(0.01, 1.0))
+        res = ah.run_ensemble(cfg, 9)
+        for name in ("mean_sq_error", "exceedance_table"):
+            table = getattr(res, name)
+            assert getattr(res, name) is table
+            assert not table.flags.writeable
+        assert np.array_equal(
+            res.mean_sq_error, (res.error_norms**2).mean(axis=0)
+        )
+        assert np.array_equal(
+            res.exceedance_table,
+            np.stack([res.exceedance(e) for e in cfg.epsilons], axis=1),
+        )
 
     def test_mean_error_agrees_with_direct_average(self):
         cfg = make_config(num_pes=4, q=2, steps=15)
@@ -503,6 +519,29 @@ class TestEngineOracle:
         assert got[4].keys() == want[4].keys() == set(snaps)
         for k in snaps:
             assert np.array_equal(got[4][k], want[4][k])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "fold, kw",
+        [
+            # _FOLD_BYTES = 0 gives window = 1: every step starts a window
+            # and the carry of the q newest rows to the tail overlaps
+            (dict(_FOLD_BYTES=0), dict(num_pes=6, q=3, steps=40)),
+            # window 2 < q = 4: the carry overlaps too
+            (dict(_FOLD_STEPS=2),
+             dict(num_pes=4, points_per_pe=4, q=4, steps=61, seed=3, r=0.3,
+                  dist=_skewed_dist())),
+            # steps = 8 windows of 5: the last window holds one step
+            (dict(_FOLD_STEPS=5), dict(num_pes=6, q=3, steps=40, seed=9)),
+        ],
+        ids=["window1", "window2-q4", "steps-multiple"],
+    )
+    def test_ring_wraps(self, monkeypatch, fold, kw, workers):
+        """The latest-first ring wraps at every window size."""
+        for name, value in fold.items():
+            monkeypatch.setattr(sim, name, value)
+        snaps = (0, 1, kw["steps"])
+        self.test_matches_reference_engine(kw, snaps, 7, workers)
 
 
 class TestBlockZeroViews:
