@@ -11,7 +11,9 @@ bit for bit, so the ensemble engine steps a ring of block-0 rows (see
 only: latest first, as (steps+q, Nn) rows where row steps-j holds step j
 and the q-1 trailing rows repeat step 0. The q rows from row steps-k are then
 step k's whole augmented vector, and the (steps+1, Nnq) statistics are
-read-only overlapping views of those rows (see ``_augmented``).
+read-only overlapping views of those rows (see ``_augmented``). Each run's
+error norms are reduced over the runs as they are computed, into per-step
+tables, so an ensemble's memory does not grow with its run count.
 """
 
 from __future__ import annotations
@@ -102,28 +104,40 @@ class _StencilPlan:
 
     Each run's states are ``rows`` latest-first grid rows of a (runs, rows,
     Nn) ring (see ``_advance``). A neighbour read is within-PE, a delay-0
-    read of the newest block, unless a cross-PE edge supplies it. Per side
-    (left, right), ``cols`` are the supplying edges, ``pos`` the interior
-    positions they feed, ``base`` the flat ring index of their delay-0
+    read of the newest block, unless a cross-PE edge supplies it.
+    ``reads`` holds the left and right reads of the interior points, as
+    (2, runs, Nn-2). ``base`` is the flat ring index of each edge's delay-0
     read counted from the previous state's first row, so a read with delay
-    d sits at ``d * Nn + base``, and ``idx`` the side's index buffer.
+    d sits at ``d * Nn + base``. When the edges supply every read, ``base``
+    has the layout of ``reads`` and ``places`` is None; otherwise ``base``
+    is (runs, num_edges) and ``places`` is each edge's (side, point) in
+    ``reads``.
     """
 
     def __init__(self, aspec: AugmentedSpec, runs: int, rows: int):
         g = aspec.grid
         nn = g.total_points
-        run_offset = np.arange(runs)[:, None] * (rows * nn)
         self.nn = nn
         self.r = g.r
         edges, nbs = aspec.edge_arrays
-        self.sides = []
-        for shift in (-1, 1):
-            cols = np.flatnonzero(nbs - edges == shift)
-            points = edges[cols]
-            self.sides.append((cols, points - 1, run_offset + points + shift,
-                               np.empty((runs, len(cols)), dtype=np.intp)))
-        # neighbour reads of the interior, rebuilt every step
+        base = np.arange(runs)[:, None] * (rows * nn) + nbs
         self.reads = np.empty((2, runs, nn - 2))
+        if len(nbs) == 2 * (nn - 2):
+            # the edges run over (point, side), two to a point
+            self.base = _sides(base).copy()
+            self.places = None
+        else:
+            self.base = base
+            self.places = ((nbs > edges).astype(np.intp), slice(None),
+                           edges - 1)
+            self.gathered = np.empty(base.shape)
+        self.idx = np.empty(self.base.shape, dtype=np.intp)
+
+
+def _sides(per_edge: np.ndarray) -> np.ndarray:
+    """(2, runs, Nn-2) view of (runs, num_edges) values when every
+    interior read is an edge."""
+    return per_edge.reshape(len(per_edge), -1, 2).transpose(2, 0, 1)
 
 
 def _advance(
@@ -133,24 +147,33 @@ def _advance(
 
     ``ring`` is (runs, rows, Nn) with each run's grid states latest first:
     rows r+1..r+q hold the previous state's blocks 0..q-1, and only row r
-    is written. ``delays`` is (runs, num_edges). The sum keeps the operand
-    order (1-2r)*u_i + r*left + r*right of the mode matrix product.
+    is written. ``delays`` is (runs, num_edges). The cross-PE reads are
+    one gather; the within-PE reads come from the newest block. The sum
+    keeps the operand order (1-2r)*u_i + r*left + r*right of the mode
+    matrix product.
     """
     nn = plan.nn
     flat = ring.reshape(-1)[(r + 1) * nn:]
     prev = ring[:, r + 1]
-    for shift, (cols, pos, base, idx), read in zip(
-        (-1, 1), plan.sides, plan.reads
-    ):
-        np.copyto(read, prev[:, 1 + shift:nn - 1 + shift])
-        np.multiply(delays[:, cols], nn, out=idx, dtype=np.intp)
-        idx += base
-        read[:, pos] = flat.take(idx)
-        read *= plan.r
+    left, right = reads = plan.reads
+    # mode="clip" writes ``out`` unbuffered; every index is in the ring
+    if plan.places is None:
+        np.multiply(_sides(delays), nn, out=plan.idx, dtype=np.intp)
+        plan.idx += plan.base
+        flat.take(plan.idx, out=reads, mode="clip")
+        reads *= plan.r
+    else:
+        np.multiply(delays, nn, out=plan.idx, dtype=np.intp)
+        plan.idx += plan.base
+        flat.take(plan.idx, out=plan.gathered, mode="clip")
+        plan.gathered *= plan.r
+        np.multiply(prev[:, :-2], plan.r, out=left)
+        np.multiply(prev[:, 2:], plan.r, out=right)
+        reads[plan.places] = plan.gathered.T
     new = ring[:, r, 1:-1]
     np.multiply(prev[:, 1:-1], 1.0 - 2.0 * plan.r, out=new)
-    new += plan.reads[0]
-    new += plan.reads[1]
+    new += left
+    new += right
     ring[:, r, ::nn - 1] = prev[:, ::nn - 1]  # Dirichlet endpoints
 
 
@@ -161,8 +184,10 @@ def _count_delays(u: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> np.ndarray
     number of its edge's thresholds cdf[e, :-1] that it reaches.
     """
     out[...] = 0
+    reached = np.empty(u.shape, dtype=bool)
     for j in range(cdf.shape[1] - 1):
-        out += u >= cdf[:, j]
+        np.greater_equal(u, cdf[:, j], out=reached)
+        np.add(out, reached.view(np.uint8), out=out)
     return out
 
 
@@ -200,32 +225,41 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Per-step statistics across seeded runs.
+    """Per-step statistics across seeded runs, all read-only.
 
     ``mean_error`` averages error vectors across runs before any norm is
-    taken; ``error_norms`` holds each run's Euclidean error norm.
-    ``mean_error`` and ``var_error`` are read-only views whose rows overlap
+    taken. ``mean_error`` and ``var_error`` are views whose rows overlap
     (row k's block b is block 0 of row max(k-b, 0)), so they hold
-    O(steps*Nn) numbers, not O(steps*Nnq); copy them before writing.
-    ``mean_sq_error`` and ``exceedance_table`` are computed once, on first
-    read, and are read-only too.
+    O(steps*Nn) numbers, not O(steps*Nnq). The per-run error norms are
+    reduced over the runs as they are computed: ``mean_sq_error`` is
+    E[||e(k)||^2], ``exceedance_table`` Pr(||e(k)||^2 > eps) for each
+    configured eps and ``max_inf_error`` the largest ||e(k)||_inf. Per-run
+    norms are kept only at the steps that ``run_ensemble`` was asked for,
+    in ``norms_at``.
     """
 
     num_runs: int
     epsilons: tuple[float, ...]
-    error_norms: np.ndarray      # (runs, steps+1)
-    inf_norms: np.ndarray        # (runs, steps+1)
-    mean_error: np.ndarray       # (steps+1, dim)
-    var_error: np.ndarray        # (steps+1, dim), ddof=1 across runs
-
-    @property
-    def mean_error_norm(self) -> np.ndarray:
-        return np.linalg.norm(self.mean_error, axis=1)
+    mean_sq_error: np.ndarray     # (steps+1,)
+    exceedance_table: np.ndarray  # (steps+1, len(epsilons))
+    max_inf_error: np.ndarray     # (steps+1,)
+    norms_at: dict[int, np.ndarray]  # step -> (runs,) error norms
+    mean_error: np.ndarray        # (steps+1, dim)
+    var_error: np.ndarray         # (steps+1, dim), ddof=1 across runs
 
     @cached_property
-    def mean_sq_error(self) -> np.ndarray:
-        """Empirical E[||e(k)||^2], for the Markov curve (read-only)."""
-        return _read_only((self.error_norms**2).mean(axis=0))
+    def mean_error_norm(self) -> np.ndarray:
+        """||mean_error[k]|| per step, computed once (read-only).
+
+        Chunks of rows keep the temporary small; each row is squared and
+        summed as ``np.linalg.norm(mean_error, axis=1)`` would.
+        """
+        norms = np.empty(len(self.mean_error))
+        for lo in range(0, len(norms), _CHUNK_STEPS):
+            rows = self.mean_error[lo:lo + _CHUNK_STEPS]
+            np.sqrt(np.add.reduce(rows * rows, axis=1),
+                    out=norms[lo:lo + _CHUNK_STEPS])
+        return _read_only(norms)
 
     @property
     def stderr_error(self) -> np.ndarray:
@@ -233,18 +267,14 @@ class EnsembleResult:
         return np.sqrt(self.var_error / self.num_runs)
 
     def exceedance(self, epsilon: float) -> np.ndarray:
-        """Empirical Pr(||e(k)||^2 > epsilon) per step."""
-        return (self.error_norms**2 > epsilon).mean(axis=0)
-
-    @cached_property
-    def exceedance_table(self) -> np.ndarray:
-        """(steps+1, len(epsilons)) exceedance probabilities (read-only)."""
-        if not self.epsilons:
-            return _read_only(np.zeros((self.error_norms.shape[1], 0)))
-        squared = self.error_norms**2
-        return _read_only(np.stack(
-            [(squared > e).mean(axis=0) for e in self.epsilons], axis=1
-        ))
+        """Empirical Pr(||e(k)||^2 > epsilon) per step, for a configured
+        epsilon."""
+        if epsilon not in self.epsilons:
+            raise ValueError(
+                f"epsilon {epsilon!r} is not one of the configured "
+                f"{self.epsilons}"
+            )
+        return self.exceedance_table[:, self.epsilons.index(epsilon)]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -308,6 +338,13 @@ def _augmented(block0: np.ndarray, q: int) -> np.ndarray:
     return sliding_window_view(block0.reshape(-1), q * nn)[::nn][::-1]
 
 
+def _window_max(a: np.ndarray, q: int) -> np.ndarray:
+    """Max over the last axis' entries k-q+1..k at each k, clamped at 0."""
+    front = np.repeat(a[..., :1], q - 1, axis=-1)
+    padded = np.concatenate([front, a], axis=-1)
+    return sliding_window_view(padded, q, axis=-1).max(axis=-1)
+
+
 def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
                     out=None):
     """Core engine: simulate len(seeds) runs in lockstep.
@@ -323,27 +360,35 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
 
     The runs are split into ``workers`` contiguous slices (at most one a
     run), each stepped on its own thread with its own stencil plan and
-    streams; the per-run norms are row-independent, so each slice writes
-    its own rows. The per-step axis-0 sums stay one sequential sum in run
-    order: at the end of each window (see ``_FOLD_STEPS``) a slice adds its
-    err and err*err ring rows onto the sums the previous slice left. Only
-    block 0 is summed, into latest-first rows (see the module docstring),
-    and the row maxima over the blocks are windowed maxima of block 0's
-    after the join. No output depends on ``workers``.
+    streams. A slice buffers its runs' norms and block-0 inf norms for a
+    window of steps (see ``_FOLD_STEPS``). At the end of each window,
+    once the previous slice has folded it, the slice adds its err and
+    err*err ring rows onto the per-step sums, so they stay one sequential
+    sum in run order. Only block 0 is summed, into latest-first rows (see
+    the module docstring), and the row maxima over the blocks are windowed
+    maxima of block 0's after the join. No output depends on ``workers``.
 
-    ``out``, if given, is (error_norms, inf_norms, sums) to write into,
-    of shapes (runs, steps+1), (runs, steps+1) and (2, steps+q, Nn); the
-    latter holds the block-0 sums of err and err*err.
+    Without ``out``, the buffered norms are written to per-run arrays and
+    the call returns per-run error/inf norms, read-only (steps+1, dim)
+    views of the per-step sum and sum-of-squares of error vectors, and
+    snapshots of the newest grid state of run 0 at the requested steps.
 
-    Returns per-run error/inf norms, read-only (steps+1, dim) views of the
-    per-step sum and sum-of-squares of error vectors, and snapshots of the
-    newest grid state of run 0 at the requested steps.
+    ``out`` is (sums, sq_norms, counts, peaks, kept) for ``run_ensemble``
+    to carry across batches: the (2, steps+q, Nn) block-0 sums of err and
+    err*err to write, and per-step tables to fold onto in run order. Each
+    window adds its runs' fl(||e||)**2 onto the (steps+1,) ``sq_norms``,
+    continuing one chain from run to run, the number of them above each
+    epsilon onto the (steps+1, len(epsilons)) ``counts``, and their
+    largest block-0 inf norm into the (steps+1,) ``peaks``. ``kept`` maps
+    steps to (runs,) arrays that receive the per-run norms there. Nothing
+    of size runs x steps is allocated, and the call returns the snapshots.
     """
     aspec = cfg.aspec
     runs, steps = len(seeds), cfg.steps
     q, nn = aspec.buffer_len, aspec.grid.total_points
     ramp = steady_state_profile(aspec.grid, cfg.bc)  # block 0 of X_ss
     cdf = cfg.dist.cdf
+    epsilons = np.array(cfg.epsilons)
     num_edges = aspec.num_edges
     chunk_steps = min(_CHUNK_STEPS, steps)
     slices = min(workers, runs)
@@ -360,17 +405,25 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
     ring = np.empty((runs, rows, nn))
     ring[:, window - 1:window - 1 + q] = cfg.initial  # X(0)
     delays = np.empty(
-        (chunk_steps, runs, num_edges), dtype=np.min_scalar_type(q - 1)
+        (runs, chunk_steps, num_edges), dtype=np.min_scalar_type(q - 1)
     )
     # err and err*err rings, with one more run row per slice for the
     # previous slice's sums: fold_step_bytes a ring row
     es = np.empty((2, runs + slices, rows, nn))
+    # a window of each run's norms and block-0 inf norms; the norms have
+    # one more row per slice, for the sum of squares so far
+    window_norms = np.empty((runs + slices, window))
+    maxima = np.empty((runs, window))
     magnitude = np.empty((runs, nn))  # |err| of the newest row
 
-    if out is None:
-        out = (np.empty((runs, steps + 1)), np.empty((runs, steps + 1)),
-               np.empty((2, steps + q, nn)))
-    error_norms, inf_norms, sums = out
+    per_run = out is None
+    if per_run:
+        error_norms = np.empty((runs, steps + 1))
+        inf_norms = np.empty((runs, steps + 1))
+        sums = np.empty((2, steps + q, nn))
+        kept = {}
+    else:
+        sums, sq_norms, counts, peaks, kept = out
     snapshot_steps = set(snapshot_steps)
     snapshots: dict[int, np.ndarray] = {}
     order = _RunOrder(slices)
@@ -384,7 +437,8 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
         state = ring[lo:hi]
         mine = es[:, lo + i:hi + i + 1]
         err, sq = mine[:, 1:]
-        norms, maxima = error_norms[lo:hi], inf_norms[lo:hi]
+        my_norms = window_norms[lo + i:hi + i + 1]
+        norms, mx = my_norms[1:], maxima[lo:hi]
         mag = magnitude[lo:hi]
 
         for k in range(steps + 1):
@@ -399,8 +453,8 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
                     chunk = min(_CHUNK_STEPS, steps - k + 1)
                     for j, rng in enumerate(rngs, lo):
                         rng.random(out=u[:chunk])
-                        _count_delays(u[:chunk], cdf, delays[:chunk, j])
-                _advance(state, r, delays[t, lo:hi], plan)
+                        _count_delays(u[:chunk], cdf, delays[j, :chunk])
+                _advance(state, r, delays[lo:hi, t], plan)
                 new = slice(r, r + 1)
             else:
                 new = slice(r, r + q)
@@ -408,18 +462,41 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
             np.multiply(err[:, new], err[:, new], out=sq[:, new])
             # np.linalg.norm(err, axis=1) over the augmented row, spelled out
             augmented_sq = sq[:, r:r + q].reshape(n, q * nn)
-            norms[:, k] = np.sqrt(np.add.reduce(augmented_sq, axis=1))
-            maxima[:, k] = np.abs(err[:, r], out=mag).max(axis=1)
+            norm = norms[:, slot]
+            np.add.reduce(augmented_sq, axis=1, out=norm)
+            np.sqrt(norm, out=norm)
+            np.abs(err[:, r], out=mag).max(axis=1, out=mx[:, slot])
+            if k in kept:
+                kept[k][lo:hi] = norm
             if i == 0 and k in snapshot_steps:
                 snapshots[k] = state[0, r].copy()
             if slot == window - 1 or k == steps:
+                done = slice(k - slot, k + 1)
+                if per_run:
+                    error_norms[lo:hi, done] = norms[:, :slot + 1]
+                    inf_norms[lo:hi, done] = mx[:, :slot + 1]
+                else:
+                    squares = my_norms[:, :slot + 1]
+                    np.square(squares[1:], out=squares[1:])
+                    peak = mx[:, :slot + 1].max(axis=0)
+                    hits = np.count_nonzero(
+                        squares[1:, :, None] > epsilons, axis=0
+                    )
                 order.wait(i, k + 1)
-                done = sums[:, steps - k:steps - k + slot + 1]
+                if not per_run:
+                    # an accumulate is sequential for any window length
+                    squares[0] = sq_norms[done]
+                    np.add.accumulate(squares, axis=0, out=squares)
+                    sq_norms[done] = squares[-1]
+                    counts[done] += hits
+                    np.maximum(peaks[done], peak, out=peaks[done])
+                block_sums = sums[:, steps - k:steps - k + slot + 1]
                 if i:
-                    mine[:, 0, r:window] = done
+                    mine[:, 0, r:window] = block_sums
                 # slice 0 starts from its own first run
                 first = 0 if i else 1
-                np.add.reduce(mine[:, first:, r:window], axis=1, out=done)
+                np.add.reduce(mine[:, first:, r:window], axis=1,
+                              out=block_sums)
                 order.folded(i, k + 1)
 
     def run(i):
@@ -443,20 +520,11 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
         raise order.error
     # block b at step k is block 0 at step max(k - b, 0)
     sums[:, steps + 1:] = sums[:, steps:steps + 1]
+    if not per_run:
+        return snapshots
     # so the row maximum at step k is the max of block 0's at steps
-    # max(k-q+1, 0)..k; chunks of steps go from the last down, so each
-    # reads block-0 maxima that no chunk has overwritten yet
-    for hi in range(steps + 1, 0, -_CHUNK_STEPS):
-        lo = max(hi - _CHUNK_STEPS, 0)
-        src_lo = max(lo - q + 1, 0)
-        src = inf_norms[:, src_lo:hi].copy()
-        for b in range(1, q):
-            k0 = max(lo, b)
-            np.maximum(
-                inf_norms[:, k0:hi], src[:, k0 - b - src_lo:hi - b - src_lo],
-                out=inf_norms[:, k0:hi],
-            )
-    return (error_norms, inf_norms, _augmented(sums[0], q),
+    # max(k-q+1, 0)..k
+    return (error_norms, _window_max(inf_norms, q), _augmented(sums[0], q),
             _augmented(sums[1], q), snapshots)
 
 
@@ -474,34 +542,43 @@ def run_ensemble(
     num_runs: int,
     workers: int = 1,
     batch_size: int = 512,
+    norm_steps=(),
 ) -> EnsembleResult:
     """Seeded ensemble; run i uses a counter-derived seed from cfg.seed.
 
     Runs are partitioned into batches of ``batch_size``, simulated one
     after another; ``workers`` threads split each batch's runs. Per-run
-    streams are independent, so the per-run norms do not depend on the
-    partition. The mean and variance do in the last bits, since batch
-    sums are added in batch order; the thread count changes nothing.
-    Each batch writes its rows of the norm arrays, and its block-0 sums
-    are added in place, so memory is the per-run norms plus O(steps*Nn).
+    streams are independent, so no run depends on the partition. The
+    per-run norms are folded onto per-step tables in run order, across
+    batches too, so ``mean_sq_error``, ``exceedance_table`` and
+    ``max_inf_error`` depend on neither. The mean and variance depend on
+    the partition in the last bits, since batch sums are added in batch
+    order; the thread count changes nothing. Per-run norms are kept at
+    ``norm_steps`` only, so memory is O(steps*(Nn + len(epsilons))) plus
+    one batch, whatever the run count.
     """
     if num_runs < 1:
         raise ValueError("num_runs must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    seeds = [run_seed_sequence(cfg.seed, i) for i in range(num_runs)]
     steps, q = cfg.steps, cfg.aspec.buffer_len
-    error_norms = np.empty((num_runs, steps + 1))
-    inf_norms = np.empty((num_runs, steps + 1))
+    if any(not 0 <= k <= steps for k in norm_steps):
+        raise ValueError(f"norm_steps must lie in [0, {steps}]")
+    kept = {k: np.empty(num_runs) for k in sorted(set(norm_steps))}
+    sq_norms = np.zeros(steps + 1)
+    counts = np.zeros((steps + 1, len(cfg.epsilons)), dtype=np.intp)
+    peaks = np.zeros(steps + 1)
     # block-0 sums of err and err*err (see _simulate_batch); the first
     # batch writes them, each later one adds its own from ``spare``
     total = np.empty((2, steps + q, cfg.aspec.grid.total_points))
     spare = np.empty_like(total) if num_runs > batch_size else None
     for lo in range(0, num_runs, batch_size):
-        rows = slice(lo, lo + batch_size)
-        _simulate_batch(cfg, seeds[rows], (), workers,
-                        (error_norms[rows], inf_norms[rows],
-                         spare if lo else total))
+        hi = min(lo + batch_size, num_runs)
+        seeds = [run_seed_sequence(cfg.seed, i) for i in range(lo, hi)]
+        batch_kept = {k: norms[lo:hi] for k, norms in kept.items()}
+        _simulate_batch(cfg, seeds, (), workers,
+                        (spare if lo else total, sq_norms, counts, peaks,
+                         batch_kept))
         if lo:
             total += spare
     del spare
@@ -517,11 +594,17 @@ def run_ensemble(
         np.maximum(var, 0.0, out=var)
     else:
         var.fill(0.0)
+    # the bytes of (norms**2).mean(axis=0) and (norms**2 > eps).mean(axis=0)
+    # over (runs, steps+1) per-run arrays, whose axis-0 sums run in run
+    # order once steps >= 1 (numpy sums a (runs, 1) array pairwise)
+    sq_norms /= num_runs
     return EnsembleResult(
         num_runs=num_runs,
         epsilons=cfg.epsilons,
-        error_norms=error_norms,
-        inf_norms=inf_norms,
+        mean_sq_error=_read_only(sq_norms),
+        exceedance_table=_read_only(counts / num_runs),
+        max_inf_error=_read_only(_window_max(peaks, q)),
+        norms_at={k: _read_only(norms) for k, norms in kept.items()},
         mean_error=_augmented(mean, q),
         var_error=_augmented(var, q),
     )

@@ -36,9 +36,10 @@ def paper_problem():
 
 @pytest.fixture(scope="session")
 def paper_ensemble(paper_problem):
-    """300 seeded runs of the flagship configuration."""
+    """300 seeded runs of the flagship configuration, with the per-run
+    norms at criterion 8a's sweep step."""
     return ah.run_ensemble(
-        paper_problem, 300, workers=os.cpu_count() or 1
+        paper_problem, 300, workers=os.cpu_count() or 1, norm_steps=(9000,)
     )
 
 

@@ -118,6 +118,15 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "config"
 
+    def test_negative_sweep_step_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"sweep_step": -1})
+        code = main(["simulate", "compare", "--config", path,
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config"
+        assert "sweep_step" in err["message"]
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_nonpositive_workers_exit_2(self, tmp_path, capsys, workers):
         path = write_config(tmp_path)

@@ -174,6 +174,10 @@ class TestTrajectory:
         assert traj.error_norms[-1] < 1e-6 * traj.error_norms[0]
 
 
+# the per-step tables an ensemble reduces its per-run norms to
+TABLES = ("mean_sq_error", "exceedance_table", "max_inf_error")
+
+
 def _raised_within(call, timeout=30):
     """Run ``call`` on a daemon thread; the RuntimeErrors it raised."""
     caught = []
@@ -193,51 +197,77 @@ def _raised_within(call, timeout=30):
 
 class TestEnsemble:
     def test_deterministic_for_fixed_seed(self):
-        cfg = make_config(steps=40)
-        a = ah.run_ensemble(cfg, 8)
-        b = ah.run_ensemble(cfg, 8)
-        assert np.array_equal(a.error_norms, b.error_norms)
+        cfg = make_config(steps=40, epsilons=(0.01, 1.0))
+        a = ah.run_ensemble(cfg, 8, norm_steps=(40,))
+        b = ah.run_ensemble(cfg, 8, norm_steps=(40,))
+        for name in TABLES:
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert np.array_equal(a.norms_at[40], b.norms_at[40])
         assert np.array_equal(a.mean_error, b.mean_error)
 
     def test_seed_changes_results(self):
         a = ah.run_ensemble(make_config(steps=40, seed=7), 8)
         b = ah.run_ensemble(make_config(steps=40, seed=8), 8)
-        assert not np.array_equal(a.error_norms, b.error_norms)
+        assert not np.array_equal(a.mean_sq_error, b.mean_sq_error)
 
     def test_batch_size_and_workers_invariance(self):
-        cfg = make_config(steps=60)
-        ref = ah.run_ensemble(cfg, 10, batch_size=512)
-        small = ah.run_ensemble(cfg, 10, batch_size=3)
-        threaded = ah.run_ensemble(cfg, 10, batch_size=3, workers=4)
-        for other in (small, threaded):
-            assert np.array_equal(ref.error_norms, other.error_norms)
-            assert np.array_equal(ref.inf_norms, other.inf_norms)
-            assert np.allclose(
-                ref.mean_error, other.mean_error, rtol=0, atol=1e-15
-            )
-        # the cross-batch sum depends on the partition, not on the workers
-        assert np.array_equal(small.mean_error, threaded.mean_error)
-        assert np.array_equal(small.var_error, threaded.var_error)
+        cfg = make_config(steps=60, epsilons=(1e-4, 1e-2, 1.0))
+        ref = ah.run_ensemble(cfg, 10, batch_size=512, norm_steps=(0, 60))
+        small = ah.run_ensemble(cfg, 10, batch_size=3, norm_steps=(0, 60))
+        # the tables fold the runs in run order, across batches too
+        for batch_size in (3, 512):
+            for workers in (1, 2, 4):
+                other = ah.run_ensemble(cfg, 10, batch_size=batch_size,
+                                        workers=workers, norm_steps=(0, 60))
+                for name in TABLES:
+                    assert np.array_equal(
+                        getattr(ref, name), getattr(other, name)
+                    ), (name, batch_size, workers)
+                for k in (0, 60):
+                    assert np.array_equal(ref.norms_at[k], other.norms_at[k])
+                assert np.allclose(
+                    ref.mean_error, other.mean_error, rtol=0, atol=1e-15
+                )
+                # the cross-batch sum depends on the partition, not on
+                # the workers
+                same = small if batch_size == 3 else ref
+                assert np.array_equal(same.mean_error, other.mean_error)
+                assert np.array_equal(same.var_error, other.var_error)
 
     def test_run_order_is_stable(self):
         """Run i's trajectory is a function of (seed, i) only."""
         cfg = make_config(steps=30)
-        big = ah.run_ensemble(cfg, 6)
-        small = ah.run_ensemble(cfg, 3)
-        assert np.array_equal(big.error_norms[:3], small.error_norms)
+        big = ah.run_ensemble(cfg, 6, norm_steps=(0, 15, 30))
+        small = ah.run_ensemble(cfg, 3, norm_steps=(30, 15, 0, 15))
+        assert big.norms_at.keys() == small.norms_at.keys() == {0, 15, 30}
+        for k, norms in small.norms_at.items():
+            assert np.array_equal(big.norms_at[k][:3], norms)
+
+    def test_rejects_norm_steps_outside_the_run(self):
+        for k in (-1, 31):
+            with pytest.raises(ValueError, match="norm_steps"):
+                ah.run_ensemble(make_config(steps=30), 3, norm_steps=(k,))
 
     def test_statistics_shapes_and_bounds(self):
         cfg = make_config(steps=25, epsilons=(0.01, 1.0))
-        res = ah.run_ensemble(cfg, 12)
+        res = ah.run_ensemble(cfg, 12, norm_steps=(25,))
         d = cfg.aspec.dim
-        assert res.error_norms.shape == (12, 26)
+        assert res.norms_at[25].shape == (12,)
+        assert res.mean_sq_error.shape == res.max_inf_error.shape == (26,)
         assert res.mean_error.shape == (26, d)
         assert res.exceedance_table.shape == (26, 2)
         assert ((res.exceedance_table >= 0) & (res.exceedance_table <= 1)).all()
         assert (res.var_error >= 0).all()
-        # norm of the mean never exceeds the mean of the norms
+        # ||E e|| <= E||e|| <= sqrt(E||e||^2)
         assert (
-            res.mean_error_norm <= res.error_norms.mean(axis=0) + 1e-12
+            res.mean_error_norm <= np.sqrt(res.mean_sq_error) + 1e-12
+        ).all()
+        assert np.isclose(res.mean_sq_error[25],
+                          (res.norms_at[25] ** 2).mean(), rtol=1e-14)
+        # a run's inf norm is at most its Euclidean norm, whose square is
+        # at most the sum over the 12 runs
+        assert (
+            res.max_inf_error**2 <= 12 * res.mean_sq_error * (1 + 1e-12)
         ).all()
         # Dirichlet components never deviate, so their variance is zero
         assert np.array_equal(res.var_error[:, 0], np.zeros(26))
@@ -263,8 +293,7 @@ class TestEnsemble:
         finally:
             sys.setswitchinterval(interval)
         for workers, other in others.items():
-            for name in ("error_norms", "inf_norms", "mean_error",
-                         "var_error", "exceedance_table"):
+            for name in (*TABLES, "mean_error", "var_error"):
                 assert np.array_equal(
                     getattr(ref, name), getattr(other, name)
                 ), (name, workers)
@@ -310,13 +339,13 @@ class TestEnsemble:
         assert [str(e) for e in caught] == ["can't start new thread"]
         assert threading.active_count() == baseline
 
-    def test_peak_memory_is_norms_plus_one_augmented_array(self):
-        """The sums are kept for block 0 only and batches merge in place."""
+    def test_peak_memory_is_one_augmented_array(self):
+        """The sums are kept for block 0 only, batches merge in place, and
+        no per-run norm array is allocated."""
         runs, steps, workers = 64, 3000, 2
         cfg = make_config(num_pes=40, q=3, steps=steps)
         dim, edges = cfg.aspec.dim, cfg.aspec.num_edges
         chunk = min(sim._CHUNK_STEPS, steps)
-        norms = 2 * runs * (steps + 1) * 8
         augmented = (steps + 1) * dim * 8
         # the state ring and the err and err*err rings (window + q rows a
         # run, 2.2 MB here, inside the first and third terms), uint8
@@ -329,22 +358,47 @@ class TestEnsemble:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < norms + augmented + batch
+        assert peak < augmented + batch
+
+    def test_memory_does_not_grow_with_runs(self):
+        """Ten times the runs add only the kept per-run norms."""
+        steps, kept = 1000, (0, 500, 1000)
+        cfg = make_config(num_pes=40, q=3, steps=steps, epsilons=(0.01, 1.0))
+        peaks = {}
+        for runs in (64, 640):
+            tracemalloc.start()
+            try:
+                ah.run_ensemble(cfg, runs, batch_size=64, norm_steps=kept)
+                _, peaks[runs] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        columns = len(kept) * (640 - 64) * 8
+        # a second batch needs the spare block-0 sums (2, steps+q, Nn)
+        spare = 2 * (steps + 3) * cfg.aspec.grid.total_points * 8
+        assert peaks[640] - peaks[64] < columns + spare + (64 << 10)
 
     def test_tables_are_computed_once_and_read_only(self):
         cfg = make_config(num_pes=6, q=3, steps=30, epsilons=(0.01, 1.0))
-        res = ah.run_ensemble(cfg, 9)
-        for name in ("mean_sq_error", "exceedance_table"):
-            table = getattr(res, name)
-            assert getattr(res, name) is table
+        res = ah.run_ensemble(cfg, 9, norm_steps=(30,))
+        assert res.mean_error_norm is res.mean_error_norm
+        for table in (*(getattr(res, name) for name in TABLES),
+                      res.mean_error_norm, res.norms_at[30]):
             assert not table.flags.writeable
-        assert np.array_equal(
-            res.mean_sq_error, (res.error_norms**2).mean(axis=0)
-        )
         assert np.array_equal(
             res.exceedance_table,
             np.stack([res.exceedance(e) for e in cfg.epsilons], axis=1),
         )
+
+    def test_exceedance_needs_a_configured_epsilon(self):
+        res = ah.run_ensemble(make_config(steps=10, epsilons=(0.01,)), 3)
+        assert res.exceedance(0.01).shape == (11,)
+        for eps in (0.5, 0.010000000000000002):
+            with pytest.raises(ValueError, match="configured"):
+                res.exceedance(eps)
+        no_eps = ah.run_ensemble(make_config(steps=10), 3)
+        assert no_eps.exceedance_table.shape == (11, 0)
+        with pytest.raises(ValueError):
+            no_eps.exceedance(0.01)
 
     def test_mean_error_agrees_with_direct_average(self):
         cfg = make_config(num_pes=4, q=2, steps=15)
@@ -542,6 +596,76 @@ class TestEngineOracle:
             monkeypatch.setattr(sim, name, value)
         snaps = (0, 1, kw["steps"])
         self.test_matches_reference_engine(kw, snaps, 7, workers)
+
+
+class TestGatherLayouts:
+    """Stencils without cross-PE edges, and with within-PE reads too."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(num_pes=1, points_per_pe=7, q=3, steps=40, r=0.3),
+            dict(num_pes=5, points_per_pe=2, q=3, steps=70, seed=5, r=0.4),
+        ],
+        ids=["one-pe", "two-points-per-pe"],
+    )
+    def test_matches_reference_engine(self, kw, workers):
+        snaps = (0, 1, kw["steps"])
+        TestEngineOracle().test_matches_reference_engine(kw, snaps, 7, workers)
+
+
+class TestStreamedTables:
+    """The per-step tables equal the reference engine's per-run arrays,
+    reduced over the runs as whole arrays, byte for byte."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "kw",
+        # TestEngineOracle's configurations
+        [
+            dict(num_pes=5, q=2, steps=50),
+            dict(num_pes=5, q=3, steps=0),
+            dict(num_pes=6, q=3, steps=3 * sim._FOLD_STEPS + 5, seed=9),
+            dict(num_pes=6, q=3, steps=600, seed=41, r=0.4),
+            dict(num_pes=8, q=1, steps=200),
+            dict(num_pes=4, points_per_pe=4, q=4, steps=300, seed=3, r=0.3,
+                 dist=_skewed_dist()),
+        ],
+        ids=["N5q2", "N5q3-0", "N6q3-fold", "N6q3-600", "N8q1",
+             "4x4q4-skewed"],
+    )
+    def test_match_reference_arrays(self, kw, workers, runs=7,
+                                    batch_size=3):
+        cfg = make_config(epsilons=(1e-3, 0.05, 1.0), **kw)
+        steps = cfg.steps
+        kept = sorted({0, steps // 2, steps})
+        res = ah.run_ensemble(cfg, runs, workers=workers,
+                              batch_size=batch_size, norm_steps=kept)
+        seeds = [run_seed_sequence(cfg.seed, i) for i in range(runs)]
+        norms, inf_norms, _, _, _ = _ref_simulate_batch(cfg, seeds)
+        squared = norms**2
+        assert np.array_equal(res.mean_sq_error, squared.mean(axis=0))
+        assert np.array_equal(res.exceedance_table, np.stack(
+            [(squared > e).mean(axis=0) for e in cfg.epsilons], axis=1
+        ))
+        assert np.array_equal(res.max_inf_error, inf_norms.max(axis=0))
+        for k in kept:
+            assert np.array_equal(res.norms_at[k], norms[:, k])
+        # in row chunks, as np.linalg.norm computes each row
+        assert np.array_equal(
+            res.mean_error_norm, np.linalg.norm(res.mean_error, axis=1)
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_step_windows_keep_run_order(self, monkeypatch, workers):
+        """Windows of one step fold 20-run slices, where a plain axis-0
+        sum over the runs would go pairwise."""
+        monkeypatch.setattr(sim, "_FOLD_BYTES", 0)
+        self.test_match_reference_arrays(
+            dict(num_pes=6, q=3, steps=30, seed=4), workers, runs=45,
+            batch_size=40,
+        )
 
 
 class TestBlockZeroViews:
