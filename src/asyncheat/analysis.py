@@ -14,6 +14,10 @@ import scipy.linalg
 
 from .modes import spectral_radius
 
+# the largest lifted dimension (Nnq)^2 whose Kronecker-lifted matrix the
+# direct checks materialize
+_LIFTED_DIM_GUARD = 2500
+
 
 class LyapunovError(RuntimeError):
     """Discrete Lyapunov solve failed (unstable input or bad residual)."""
@@ -304,21 +308,20 @@ class SecondMomentReport:
 
 
 def second_moment_bound_check(
-    w_tilde: np.ndarray,
-    horizon: int = 500,
-    dim_guard: int = 2500,
+    w_tilde: np.ndarray, horizon: int = 500
 ) -> SecondMomentReport:
     """Solve the Kronecker-lifted Lyapunov equation and verify the chain.
 
-    The lifted dimension (Nnq)^2 must not exceed ``dim_guard``; beyond
-    it, only the bound (no direct verification) is available and this
-    raises instead.
+    The lifted dimension (Nnq)^2 must not exceed ``_LIFTED_DIM_GUARD``;
+    beyond it, only the bound (no direct verification) is available and
+    this raises instead.
     """
     w_tilde = np.asarray(w_tilde, dtype=float)
     lifted_dim = w_tilde.shape[0] ** 2
-    if lifted_dim > dim_guard:
+    if lifted_dim > _LIFTED_DIM_GUARD:
         raise ValueError(
-            f"lifted dimension {lifted_dim} exceeds guard {dim_guard}; "
+            f"lifted dimension {lifted_dim} exceeds guard "
+            f"{_LIFTED_DIM_GUARD}; "
             "use tail_constants for the bound-only mode"
         )
     gamma = np.kron(w_tilde, w_tilde)
@@ -353,24 +356,20 @@ def error_probability_bound(
     e0: np.ndarray,
     epsilon: float,
     steps: int,
-    dim: int | None = None,
-    k_const: float = 1.0,
 ) -> ErrorBoundCurve:
     """Markov tail bound from the second-moment decay rate.
 
-    beta(k) = (sqrt(dim) * K / epsilon) * rate**(k/2) * ||e(0)||^2, with
-    dim the augmented dimension (the vec(I) factor) and rate the
+    beta(k) = (sqrt(dim) / epsilon) * rate**(k/2) * ||e(0)||^2, with dim
+    = len(e0), the augmented dimension (the vec(I) factor), and rate the
     second-moment rate from the tail constants.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     e0 = np.asarray(e0, dtype=float)
-    if dim is None:
-        dim = e0.shape[0]
     y0_norm = float(np.dot(e0, e0))  # ||vec(e0 e0')|| = ||e0||^2
     ks = np.arange(steps + 1, dtype=float)
     beta = (
-        np.sqrt(dim) * k_const / epsilon
+        np.sqrt(e0.shape[0]) / epsilon
         * tc.second_moment_rate ** (ks / 2.0)
         * y0_norm
     )
@@ -389,12 +388,10 @@ class KronNormReport:
         return abs(self.lifted_norm - self.squared_norm)
 
 
-def kron_norm_identity_check(
-    w_tilde: np.ndarray, k: int, dim_guard: int = 2500
-) -> KronNormReport:
+def kron_norm_identity_check(w_tilde: np.ndarray, k: int) -> KronNormReport:
     """Materialize the Kronecker power and compare spectral norms."""
     w_tilde = np.asarray(w_tilde, dtype=float)
-    if w_tilde.shape[0] ** 2 > dim_guard:
+    if w_tilde.shape[0] ** 2 > _LIFTED_DIM_GUARD:
         raise ValueError("lifted dimension exceeds guard")
     gamma = np.kron(w_tilde, w_tilde)
     lifted = spectral_norm(np.linalg.matrix_power(gamma, k))

@@ -225,7 +225,7 @@ class Pipeline:
 
     def error_bound(self, eps: float, steps: int) -> np.ndarray:
         return analysis.error_probability_bound(
-            self.certificate[2], self.e0, eps, steps, dim=self.aspec.dim
+            self.certificate[2], self.e0, eps, steps
         ).values
 
     @cached_property

@@ -13,7 +13,10 @@ and the q-1 trailing rows repeat step 0. The q rows from row steps-k are then
 step k's whole augmented vector, and the (steps+1, Nnq) statistics are
 read-only overlapping views of those rows (see ``_augmented``). Each run's
 error norms are reduced over the runs as they are computed, into per-step
-tables, so an ensemble's memory does not grow with its run count.
+tables, so an ensemble's memory does not grow with its run count. Every
+per-step sum, of the block-0 rows and of the tables alike, is added onto
+in run order, so no output depends on how the runs are batched or split
+over threads.
 """
 
 from __future__ import annotations
@@ -39,6 +42,10 @@ _CHUNK_STEPS = 256  # delay pre-sampling granularity
 # most about this many bytes, so big batches fold more often.
 _FOLD_STEPS = 32
 _FOLD_BYTES = 1 << 22
+# runs simulated at once by run_ensemble; no output depends on it.
+# perfbench/workloads.py mirrors it as ENSEMBLE_BATCH for
+# batch_working_set_mb.
+_BATCH_RUNS = 512
 
 
 @dataclass(frozen=True)
@@ -368,14 +375,15 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
     the module docstring), and the row maxima over the blocks are windowed
     maxima of block 0's after the join. No output depends on ``workers``.
 
-    Without ``out``, the buffered norms are written to per-run arrays and
-    the call returns per-run error/inf norms, read-only (steps+1, dim)
-    views of the per-step sum and sum-of-squares of error vectors, and
-    snapshots of the newest grid state of run 0 at the requested steps.
+    Without ``out``, the sums start from zero, the buffered norms are
+    written to per-run arrays and the call returns per-run error/inf
+    norms, read-only (steps+1, dim) views of the per-step sum and
+    sum-of-squares of error vectors, and snapshots of the newest grid
+    state of run 0 at the requested steps.
 
     ``out`` is (sums, sq_norms, counts, peaks, kept) for ``run_ensemble``
     to carry across batches: the (2, steps+q, Nn) block-0 sums of err and
-    err*err to write, and per-step tables to fold onto in run order. Each
+    err*err and the per-step tables, all added onto in run order. Each
     window adds its runs' fl(||e||)**2 onto the (steps+1,) ``sq_norms``,
     continuing one chain from run to run, the number of them above each
     epsilon onto the (steps+1, len(epsilons)) ``counts``, and their
@@ -420,7 +428,7 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
     if per_run:
         error_norms = np.empty((runs, steps + 1))
         inf_norms = np.empty((runs, steps + 1))
-        sums = np.empty((2, steps + q, nn))
+        sums = np.zeros((2, steps + q, nn))
         kept = {}
     else:
         sums, sq_norms, counts, peaks, kept = out
@@ -491,12 +499,8 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
                     counts[done] += hits
                     np.maximum(peaks[done], peak, out=peaks[done])
                 block_sums = sums[:, steps - k:steps - k + slot + 1]
-                if i:
-                    mine[:, 0, r:window] = block_sums
-                # slice 0 starts from its own first run
-                first = 0 if i else 1
-                np.add.reduce(mine[:, first:, r:window], axis=1,
-                              out=block_sums)
+                mine[:, 0, r:window] = block_sums
+                np.add.reduce(mine[:, :, r:window], axis=1, out=block_sums)
                 order.folded(i, k + 1)
 
     def run(i):
@@ -537,25 +541,16 @@ def run_trajectory(cfg: RunConfig, snapshot_steps=()) -> Trajectory:
     )
 
 
-def run_ensemble(
-    cfg: RunConfig,
-    num_runs: int,
-    workers: int = 1,
-    batch_size: int = 512,
-    norm_steps=(),
-) -> EnsembleResult:
+def run_ensemble(cfg: RunConfig, num_runs: int, workers: int = 1,
+                 norm_steps=()) -> EnsembleResult:
     """Seeded ensemble; run i uses a counter-derived seed from cfg.seed.
 
-    Runs are partitioned into batches of ``batch_size``, simulated one
-    after another; ``workers`` threads split each batch's runs. Per-run
-    streams are independent, so no run depends on the partition. The
-    per-run norms are folded onto per-step tables in run order, across
-    batches too, so ``mean_sq_error``, ``exceedance_table`` and
-    ``max_inf_error`` depend on neither. The mean and variance depend on
-    the partition in the last bits, since batch sums are added in batch
-    order; the thread count changes nothing. Per-run norms are kept at
-    ``norm_steps`` only, so memory is O(steps*(Nn + len(epsilons))) plus
-    one batch, whatever the run count.
+    Runs are simulated in batches of ``_BATCH_RUNS``, one after another;
+    ``workers`` threads split each batch's runs. Every per-step sum and
+    table is folded in run order, one chain across slices and batches, so
+    no output depends on the batching or on ``workers``. Per-run norms
+    are kept at ``norm_steps`` only, so memory is
+    O(steps*(Nn + len(epsilons))) plus one batch, whatever the run count.
     """
     if num_runs < 1:
         raise ValueError("num_runs must be >= 1")
@@ -568,20 +563,14 @@ def run_ensemble(
     sq_norms = np.zeros(steps + 1)
     counts = np.zeros((steps + 1, len(cfg.epsilons)), dtype=np.intp)
     peaks = np.zeros(steps + 1)
-    # block-0 sums of err and err*err (see _simulate_batch); the first
-    # batch writes them, each later one adds its own from ``spare``
-    total = np.empty((2, steps + q, cfg.aspec.grid.total_points))
-    spare = np.empty_like(total) if num_runs > batch_size else None
-    for lo in range(0, num_runs, batch_size):
-        hi = min(lo + batch_size, num_runs)
+    # block-0 sums of err and err*err (see _simulate_batch)
+    total = np.zeros((2, steps + q, cfg.aspec.grid.total_points))
+    for lo in range(0, num_runs, _BATCH_RUNS):
+        hi = min(lo + _BATCH_RUNS, num_runs)
         seeds = [run_seed_sequence(cfg.seed, i) for i in range(lo, hi)]
         batch_kept = {k: norms[lo:hi] for k, norms in kept.items()}
         _simulate_batch(cfg, seeds, (), workers,
-                        (spare if lo else total, sq_norms, counts, peaks,
-                         batch_kept))
-        if lo:
-            total += spare
-    del spare
+                        (total, sq_norms, counts, peaks, batch_kept))
 
     # in place, in the operand order of (sumsq - n*mean**2) / (n-1)
     mean, var = total

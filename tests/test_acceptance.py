@@ -243,11 +243,10 @@ def test_criterion_08a_tail_bound_dominance_and_sweep(
 ):
     """min(1, beta(k)) dominates the empirical exceedance; sweep monotone."""
     _, _, tc = paper_certificates
-    dim = paper_problem.aspec.dim
     ok = True
     for eps in (0.01, 1.0):
         curve = ah.error_probability_bound(
-            tc, paper_initial_error, eps, paper_problem.steps, dim=dim
+            tc, paper_initial_error, eps, paper_problem.steps
         )
         empirical = paper_ensemble.exceedance(eps)
         if not (empirical <= curve.values + 1e-12).all():
@@ -261,7 +260,7 @@ def test_criterion_08a_tail_bound_dominance_and_sweep(
     emp = [(sq > e).mean() for e in eps_grid]
     bnd = [
         ah.error_probability_bound(
-            tc, paper_initial_error, e, k_fix, dim=dim
+            tc, paper_initial_error, e, k_fix
         ).values[k_fix]
         for e in eps_grid
     ]
@@ -291,12 +290,11 @@ def test_criterion_08b_tail_bound_reaches_zero(
 ):
     """beta(1e4) < 1e-3 for both epsilons at the flagship scale."""
     _, _, tc = paper_certificates
-    dim = paper_problem.aspec.dim
     ok = True
     finals = []
     for eps in (0.01, 1.0):
         curve = ah.error_probability_bound(
-            tc, paper_initial_error, eps, paper_problem.steps, dim=dim
+            tc, paper_initial_error, eps, paper_problem.steps
         )
         finals.append(curve.values[-1])
         if not curve.values[-1] < 1e-3:

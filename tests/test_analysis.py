@@ -300,7 +300,7 @@ class TestSecondMomentBound:
 
     def test_dim_guard(self):
         with pytest.raises(ValueError):
-            ah.second_moment_bound_check(np.eye(60), dim_guard=2500)
+            ah.second_moment_bound_check(np.eye(60))
 
 
 class TestErrorProbabilityBound:
@@ -316,7 +316,7 @@ class TestErrorProbabilityBound:
     def test_closed_form_value(self):
         tc = ah.tail_constants(0.5 * np.eye(2))
         e0 = np.array([0.1, 0.0])
-        curve = ah.error_probability_bound(tc, e0, 1.0, 4, dim=2, k_const=1.0)
+        curve = ah.error_probability_bound(tc, e0, 1.0, 4)
         rate = tc.second_moment_rate
         want = np.sqrt(2.0) * rate ** (np.arange(5) / 2.0) * 0.01
         assert np.allclose(curve.values, np.minimum(1.0, want), rtol=1e-13)
@@ -346,7 +346,7 @@ class TestErrorProbabilityBound:
         tc = ah.tail_constants(wt)
         ramp = ah.steady_state_profile(spec, cfg.bc)
         e0 = np.tile(cfg.initial, 2) - np.tile(ramp, 2)
-        curve = ah.error_probability_bound(tc, e0, 0.01, 200, dim=aspec.dim)
+        curve = ah.error_probability_bound(tc, e0, 0.01, 200)
         assert (res.exceedance(0.01) <= curve.values + 1e-12).all()
 
 

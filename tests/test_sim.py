@@ -210,29 +210,21 @@ class TestEnsemble:
         b = ah.run_ensemble(make_config(steps=40, seed=8), 8)
         assert not np.array_equal(a.mean_sq_error, b.mean_sq_error)
 
-    def test_batch_size_and_workers_invariance(self):
+    def test_batch_size_and_workers_invariance(self, monkeypatch):
         cfg = make_config(steps=60, epsilons=(1e-4, 1e-2, 1.0))
-        ref = ah.run_ensemble(cfg, 10, batch_size=512, norm_steps=(0, 60))
-        small = ah.run_ensemble(cfg, 10, batch_size=3, norm_steps=(0, 60))
-        # the tables fold the runs in run order, across batches too
-        for batch_size in (3, 512):
+        ref = ah.run_ensemble(cfg, 10, norm_steps=(0, 60))
+        # every sum folds the runs in run order, across batches too
+        for batch_runs in (3, 512):
+            monkeypatch.setattr(sim, "_BATCH_RUNS", batch_runs)
             for workers in (1, 2, 4):
-                other = ah.run_ensemble(cfg, 10, batch_size=batch_size,
-                                        workers=workers, norm_steps=(0, 60))
-                for name in TABLES:
+                other = ah.run_ensemble(cfg, 10, workers=workers,
+                                        norm_steps=(0, 60))
+                for name in (*TABLES, "mean_error", "var_error"):
                     assert np.array_equal(
                         getattr(ref, name), getattr(other, name)
-                    ), (name, batch_size, workers)
+                    ), (name, batch_runs, workers)
                 for k in (0, 60):
                     assert np.array_equal(ref.norms_at[k], other.norms_at[k])
-                assert np.allclose(
-                    ref.mean_error, other.mean_error, rtol=0, atol=1e-15
-                )
-                # the cross-batch sum depends on the partition, not on
-                # the workers
-                same = small if batch_size == 3 else ref
-                assert np.array_equal(same.mean_error, other.mean_error)
-                assert np.array_equal(same.var_error, other.var_error)
 
     def test_run_order_is_stable(self):
         """Run i's trajectory is a function of (seed, i) only."""
@@ -360,22 +352,21 @@ class TestEnsemble:
             tracemalloc.stop()
         assert peak < augmented + batch
 
-    def test_memory_does_not_grow_with_runs(self):
+    def test_memory_does_not_grow_with_runs(self, monkeypatch):
         """Ten times the runs add only the kept per-run norms."""
+        monkeypatch.setattr(sim, "_BATCH_RUNS", 64)
         steps, kept = 1000, (0, 500, 1000)
         cfg = make_config(num_pes=40, q=3, steps=steps, epsilons=(0.01, 1.0))
         peaks = {}
         for runs in (64, 640):
             tracemalloc.start()
             try:
-                ah.run_ensemble(cfg, runs, batch_size=64, norm_steps=kept)
+                ah.run_ensemble(cfg, runs, norm_steps=kept)
                 _, peaks[runs] = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
         columns = len(kept) * (640 - 64) * 8
-        # a second batch needs the spare block-0 sums (2, steps+q, Nn)
-        spare = 2 * (steps + 3) * cfg.aspec.grid.total_points * 8
-        assert peaks[640] - peaks[64] < columns + spare + (64 << 10)
+        assert peaks[640] - peaks[64] < columns + (64 << 10)
 
     def test_tables_are_computed_once_and_read_only(self):
         cfg = make_config(num_pes=6, q=3, steps=30, epsilons=(0.01, 1.0))
@@ -635,13 +626,13 @@ class TestStreamedTables:
         ids=["N5q2", "N5q3-0", "N6q3-fold", "N6q3-600", "N8q1",
              "4x4q4-skewed"],
     )
-    def test_match_reference_arrays(self, kw, workers, runs=7,
-                                    batch_size=3):
+    def test_match_reference_arrays(self, monkeypatch, kw, workers, runs=7,
+                                    batch_runs=3):
+        monkeypatch.setattr(sim, "_BATCH_RUNS", batch_runs)
         cfg = make_config(epsilons=(1e-3, 0.05, 1.0), **kw)
         steps = cfg.steps
         kept = sorted({0, steps // 2, steps})
-        res = ah.run_ensemble(cfg, runs, workers=workers,
-                              batch_size=batch_size, norm_steps=kept)
+        res = ah.run_ensemble(cfg, runs, workers=workers, norm_steps=kept)
         seeds = [run_seed_sequence(cfg.seed, i) for i in range(runs)]
         norms, inf_norms, _, _, _ = _ref_simulate_batch(cfg, seeds)
         squared = norms**2
@@ -663,8 +654,8 @@ class TestStreamedTables:
         sum over the runs would go pairwise."""
         monkeypatch.setattr(sim, "_FOLD_BYTES", 0)
         self.test_match_reference_arrays(
-            dict(num_pes=6, q=3, steps=30, seed=4), workers, runs=45,
-            batch_size=40,
+            monkeypatch, dict(num_pes=6, q=3, steps=30, seed=4), workers,
+            runs=45, batch_runs=40,
         )
 
 
@@ -672,7 +663,7 @@ class TestBlockZeroViews:
     """mean_error and var_error are read-only views of block-0 rows."""
 
     @pytest.mark.parametrize(
-        "kw, runs, batch_size",
+        "kw, runs, batch_runs",
         [
             (dict(num_pes=6, q=3, steps=40), 7, 512),
             (dict(num_pes=6, q=1, steps=40), 7, 512),
@@ -682,9 +673,11 @@ class TestBlockZeroViews:
         ],
         ids=["q3", "q1", "steps0", "batches-of-3", "one-run"],
     )
-    def test_views_hold_the_merged_block0_sums(self, kw, runs, batch_size):
+    def test_views_hold_the_merged_block0_sums(self, monkeypatch, kw, runs,
+                                               batch_runs):
+        monkeypatch.setattr(sim, "_BATCH_RUNS", batch_runs)
         cfg = make_config(**kw)
-        res = ah.run_ensemble(cfg, runs, batch_size=batch_size)
+        res = ah.run_ensemble(cfg, runs)
         q, nn = cfg.aspec.buffer_len, cfg.aspec.grid.total_points
         for stat in (res.mean_error, res.var_error):
             assert stat.shape == (cfg.steps + 1, cfg.aspec.dim)
@@ -695,16 +688,13 @@ class TestBlockZeroViews:
             for k in range(cfg.steps + 1):
                 blocks = [stat[max(k - b, 0), :nn] for b in range(q)]
                 assert np.array_equal(stat[k], np.concatenate(blocks))
-        # the bytes of adding whole batch sums and then computing
-        # (sumsq - n*mean**2) / (n-1) out of place
+        # the bytes of one whole-run sum, whatever the batches, and then
+        # of (sumsq - n*mean**2) / (n-1) out of place
         seeds = [run_seed_sequence(cfg.seed, i) for i in range(runs)]
-        batches = [
-            _ref_simulate_batch(cfg, seeds[lo:lo + batch_size])
-            for lo in range(0, runs, batch_size)
-        ]
-        mean = sum(b[2] for b in batches) / runs
+        _, _, total, total_sq, _ = _ref_simulate_batch(cfg, seeds)
+        mean = total / runs
         if runs > 1:
-            var = (sum(b[3] for b in batches) - runs * mean**2) / (runs - 1)
+            var = (total_sq - runs * mean**2) / (runs - 1)
             var = np.maximum(var, 0.0)
         else:
             var = np.zeros_like(mean)
