@@ -10,7 +10,6 @@ the certificate are each computed once.
 Usage:
     python scripts/run_flagship_experiment.py [--config configs/paper.json]
                                               [--out results/flagship]
-                                              [--workers N]
 """
 
 import argparse
@@ -26,11 +25,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", default="configs/paper.json")
     parser.add_argument("--out", default=None)
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     args = parser.parse_args()
 
     commands = ["simulate", "analyze", "compare"]
-    argv = [*commands, "--config", args.config, "--workers", str(args.workers)]
+    argv = [*commands, "--config", args.config]
     code = cli_main(argv + (["--out", args.out] if args.out else []))
     if code != 0:
         print(f"{' '.join(commands)} failed with exit code {code}",

@@ -4,11 +4,11 @@
 Enumerates every switching mode of a small configuration and verifies
 the shared eigenstructure, the factorized expected matrix, the mode
 probabilities, and bit-exact simulator/matrix agreement. Mode counts
-grow as q^(2(N-2)), so keep N and q small here.
+grow as q^(2(N-2)), so keep N and q small here; the config's
+``mode_cap`` bounds the enumeration.
 
 Usage:
     python scripts/run_verification.py [--config configs/small_verify.json]
-                                       [--cap MAX_MODES]
 """
 
 import argparse
@@ -23,12 +23,8 @@ from asyncheat.cli import main as cli_main  # noqa: E402
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", default="configs/small_verify.json")
-    parser.add_argument("--cap", type=int, default=None)
     args = parser.parse_args()
-    argv = ["verify", "--config", args.config]
-    if args.cap is not None:
-        argv += ["--cap", str(args.cap)]
-    return cli_main(argv)
+    return cli_main(["verify", "--config", args.config])
 
 
 if __name__ == "__main__":

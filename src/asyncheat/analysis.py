@@ -76,9 +76,10 @@ def lyapunov_series(w_tilde: np.ndarray, tol: float = 1e-14) -> np.ndarray:
 def solve_discrete_lyapunov(w_tilde: np.ndarray) -> LyapunovCertificate:
     """Certificate for a strictly stable deflated mode.
 
-    Solves W~' P W~ - P = -I directly (Kronecker-vectorized below
-    dimension ~60, Bartels-Stewart style above) and validates the
-    residual and positive definiteness.
+    Solves W~' P W~ - P = -I with scipy's bilinear method (a Cayley
+    transform to a continuous Lyapunov equation, solved Bartels-Stewart
+    style) at every dimension, and validates the residual and positive
+    definiteness.
     """
     w_tilde = np.asarray(w_tilde, dtype=float)
     n = w_tilde.shape[0]
@@ -87,9 +88,8 @@ def solve_discrete_lyapunov(w_tilde: np.ndarray) -> LyapunovCertificate:
         raise LyapunovError(
             f"spectral radius {rho} >= 1; Lyapunov equation has no PD solution"
         )
-    method = "direct" if n <= 60 else "bilinear"
     p = scipy.linalg.solve_discrete_lyapunov(
-        w_tilde.T, np.eye(n), method=method
+        w_tilde.T, np.eye(n), method="bilinear"
     )
     p = 0.5 * (p + p.T)
     eigs = np.linalg.eigvalsh(p)

@@ -7,6 +7,11 @@ each stage is computed at most once per call):
   verify    enumeration-based cross checks (small systems)
   compare   empirical exceedance vs Markov curve vs analytic bound
 
+Flags: ``--config`` (required) and ``--out``, which overrides the config's
+``output_dir``. Everything else is a config key. ``load_config`` is the
+one place that turns the JSON into domain objects; it builds them once and
+refuses every invalid value before any output directory is made.
+
 Exit codes: 0 success, 2 config error, 3 numerical-verification failure,
 4 I/O error.
 """
@@ -18,7 +23,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -40,26 +45,20 @@ class VerificationFailure(RuntimeError):
 
 
 _REQUIRED_KEYS = {"num_pes", "dx", "dt", "alpha", "buffer_len", "steps", "seed"}
+_OPTIONAL_KEYS = {
+    "points_per_pe", "initial", "u_left", "u_right", "ensemble_size",
+    "epsilons", "delay_probs", "snapshot_steps", "sweep_step",
+    "sweep_epsilons", "mode_cap", "output_dir",
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description (mirrors the JSON schema)."""
+    """A validated experiment: the problem, and the settings only the CLI
+    reads. ``sweep_step`` is already clamped to the problem's steps."""
 
-    num_pes: int
-    points_per_pe: int
-    dx: float
-    dt: float
-    alpha: float
-    buffer_len: int
-    steps: int
-    seed: int
-    initial: object
-    u_left: float
-    u_right: float
+    problem: sim.RunConfig
     ensemble_size: int
-    epsilons: tuple[float, ...]
-    delay_probs: tuple[float, ...] | None
     snapshot_steps: tuple[int, ...]
     sweep_step: int
     sweep_epsilons: tuple[float, ...]
@@ -67,11 +66,18 @@ class ExperimentConfig:
     output_dir: str | None
 
 
-_OPTIONAL_KEYS = {f.name for f in fields(ExperimentConfig)} - _REQUIRED_KEYS
+def _integral(value, key: str) -> int:
+    """``value`` as an int; a non-integral number is refused, not truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Parse and strictly validate a JSON experiment config."""
+    """Parse and strictly validate a JSON experiment config, building its
+    domain objects once; every invalid value raises ``ConfigError``."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -86,90 +92,86 @@ def load_config(path: str) -> ExperimentConfig:
     if missing:
         raise ConfigError(f"missing required config keys: {sorted(missing)}")
 
-    steps = int(raw["steps"])
-    snapshot_steps = raw.get("snapshot_steps")
-    if snapshot_steps is None:
-        snapshot_steps = sorted({0, steps // 2, steps})
-    epsilons = tuple(float(e) for e in raw.get("epsilons", (0.01, 1.0)))
-    sweep_eps = raw.get("sweep_epsilons")
-    cfg = ExperimentConfig(
-        num_pes=int(raw["num_pes"]),
-        points_per_pe=int(raw.get("points_per_pe", 1)),
-        dx=float(raw["dx"]),
-        dt=float(raw["dt"]),
-        alpha=float(raw["alpha"]),
-        buffer_len=int(raw["buffer_len"]),
-        steps=steps,
-        seed=int(raw["seed"]),
-        initial=raw.get("initial", "cos2"),
-        u_left=float(raw.get("u_left", 1.0)),
-        u_right=float(raw.get("u_right", 0.0)),
-        ensemble_size=int(raw.get("ensemble_size", 300)),
-        epsilons=epsilons,
-        delay_probs=(
-            tuple(float(p) for p in raw["delay_probs"])
-            if raw.get("delay_probs") is not None
-            else None
-        ),
-        snapshot_steps=tuple(int(s) for s in snapshot_steps),
-        sweep_step=int(raw.get("sweep_step", min(9000, steps))),
-        sweep_epsilons=(
-            tuple(float(e) for e in sweep_eps)
-            if sweep_eps is not None
-            else epsilons
-        ),
-        mode_cap=int(raw.get("mode_cap", 100_000)),
-        output_dir=raw.get("output_dir"),
-    )
-    if cfg.sweep_step < 0:
-        raise ConfigError("sweep_step must be >= 0")
-    # fail fast on module-level invariants
-    build_problem(cfg)
-    return cfg
-
-
-def build_problem(cfg: ExperimentConfig):
-    """Construct the domain objects, mapping validation to ConfigError."""
     try:
         spec = grid.GridSpec(
-            num_pes=cfg.num_pes,
-            points_per_pe=cfg.points_per_pe,
-            dx=cfg.dx,
-            dt=cfg.dt,
-            alpha=cfg.alpha,
+            num_pes=_integral(raw["num_pes"], "num_pes"),
+            points_per_pe=_integral(raw.get("points_per_pe", 1),
+                                    "points_per_pe"),
+            dx=float(raw["dx"]),
+            dt=float(raw["dt"]),
+            alpha=float(raw["alpha"]),
         )
-        aspec = modes.AugmentedSpec(grid=spec, buffer_len=cfg.buffer_len)
-        if cfg.delay_probs is None:
+        aspec = modes.AugmentedSpec(
+            grid=spec, buffer_len=_integral(raw["buffer_len"], "buffer_len")
+        )
+        if raw.get("delay_probs") is None:
             dist = modes.SwitchingDistribution.uniform(aspec)
         else:
             dist = modes.SwitchingDistribution.from_delay_probs(
-                aspec, cfg.delay_probs
+                aspec, tuple(float(p) for p in raw["delay_probs"])
             )
-        bc = grid.BoundaryConditions(u_left=cfg.u_left, u_right=cfg.u_right)
-        if cfg.initial == "cos2":
+        bc = grid.BoundaryConditions(u_left=float(raw.get("u_left", 1.0)),
+                                     u_right=float(raw.get("u_right", 0.0)))
+        initial = raw.get("initial", "cos2")
+        if initial == "cos2":
             u0 = grid.cos2_initial_condition(spec)
-        elif cfg.initial == "ramp":
+        elif initial == "ramp":
             u0 = grid.steady_state_profile(spec, bc)
-        elif isinstance(cfg.initial, (list, tuple)):
-            u0 = np.asarray(cfg.initial, dtype=float)
+        elif isinstance(initial, list):
+            u0 = np.asarray(initial, dtype=float)
         else:
             raise ConfigError(
-                f"initial must be 'cos2', 'ramp' or a vector, got {cfg.initial!r}"
+                f"initial must be 'cos2', 'ramp' or a vector, got {initial!r}"
             )
-        run_cfg = sim.RunConfig(
+        steps = _integral(raw["steps"], "steps")
+        problem = sim.RunConfig(
             aspec=aspec,
             dist=dist,
             initial=u0,
             bc=bc,
-            steps=cfg.steps,
-            seed=cfg.seed,
-            epsilons=cfg.epsilons,
+            steps=steps,
+            seed=_integral(raw["seed"], "seed"),
+            epsilons=tuple(float(e) for e in raw.get("epsilons", (0.01, 1.0))),
         )
+        ensemble_size = _integral(raw.get("ensemble_size", 300),
+                                  "ensemble_size")
+        snapshot_steps = raw.get("snapshot_steps")
+        if snapshot_steps is None:
+            snapshot_steps = sorted({0, steps // 2, steps})
+        snapshot_steps = tuple(_integral(s, "snapshot_steps")
+                               for s in snapshot_steps)
+        sweep_step = _integral(raw.get("sweep_step", 9000), "sweep_step")
+        sweep_eps = raw.get("sweep_epsilons")
+        sweep_epsilons = (problem.epsilons if sweep_eps is None
+                          else tuple(float(e) for e in sweep_eps))
+        mode_cap = _integral(raw.get("mode_cap", 100_000), "mode_cap")
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    return run_cfg
+
+    output_dir = raw.get("output_dir")
+    if problem.seed < 0:
+        raise ConfigError("seed must be >= 0")
+    if ensemble_size < 1:
+        raise ConfigError("ensemble_size must be >= 1")
+    if not all(0 <= s <= steps for s in snapshot_steps):
+        raise ConfigError(f"snapshot_steps must lie in [0, {steps}]")
+    if sweep_step < 0:
+        raise ConfigError("sweep_step must be >= 0")
+    if not all(e > 0 for e in (*problem.epsilons, *sweep_epsilons)):
+        raise ConfigError("epsilons and sweep_epsilons must be positive")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
+    return ExperimentConfig(
+        problem=problem,
+        ensemble_size=ensemble_size,
+        snapshot_steps=snapshot_steps,
+        sweep_step=min(sweep_step, steps),
+        sweep_epsilons=sweep_epsilons,
+        mode_cap=mode_cap,
+        output_dir=output_dir,
+    )
 
 
 class Pipeline:
@@ -179,36 +181,30 @@ class Pipeline:
     ``simulate analyze compare`` runs one ensemble and one tail walk.
     """
 
-    def __init__(self, cfg: ExperimentConfig, workers: int):
+    def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.workers = workers
-        self.run_cfg = build_problem(cfg)
-        self.aspec = self.run_cfg.aspec
+        self.problem = cfg.problem
+        self.aspec = cfg.problem.aspec
 
     @cached_property
     def sync(self) -> sim.Trajectory:
         return sim.run_sync_reference(
-            self.run_cfg, snapshot_steps=self.cfg.snapshot_steps
+            self.problem, snapshot_steps=self.cfg.snapshot_steps
         )
 
     @cached_property
     def ensemble(self) -> sim.EnsembleResult:
         return sim.run_ensemble(
-            self.run_cfg, self.cfg.ensemble_size, workers=self.workers,
-            norm_steps=(self.sweep_step,),
+            self.problem, self.cfg.ensemble_size,
+            workers=os.cpu_count() or 1, norm_steps=(self.cfg.sweep_step,),
         )
-
-    @property
-    def sweep_step(self) -> int:
-        """The step of ``comparison_sweep.csv``."""
-        return min(self.cfg.sweep_step, self.cfg.steps)
 
     @cached_property
     def e0(self) -> np.ndarray:
         """e(0) = X(0) - psi X(0) in the augmented space."""
         q = self.aspec.buffer_len
-        ramp = grid.steady_state_profile(self.aspec.grid, self.run_cfg.bc)
-        return np.tile(self.run_cfg.initial, q) - np.tile(ramp, q)
+        ramp = grid.steady_state_profile(self.aspec.grid, self.problem.bc)
+        return np.tile(self.problem.initial, q) - np.tile(ramp, q)
 
     @cached_property
     def proj(self) -> modes.SteadyStateProjector:
@@ -219,7 +215,7 @@ class Pipeline:
         """(Lyapunov certificate of W~_m, mean contraction, tail constants)."""
         wtm = modes.deflate(modes.worst_case_mode(self.aspec), self.proj)
         cert = analysis.solve_discrete_lyapunov(wtm)
-        lam = modes.expected_matrix(self.aspec, self.run_cfg.dist, self.proj)
+        lam = modes.expected_matrix(self.aspec, self.problem.dist, self.proj)
         contraction = analysis.verify_mean_contraction(lam, cert)
         return cert, contraction, analysis.tail_constants(wtm)
 
@@ -231,7 +227,8 @@ class Pipeline:
     @cached_property
     def error_bounds(self) -> list[np.ndarray]:
         """The bound on Pr(||e(k)||^2 > eps) over all steps, per epsilon."""
-        return [self.error_bound(e, self.cfg.steps) for e in self.cfg.epsilons]
+        steps = self.problem.steps
+        return [self.error_bound(e, steps) for e in self.problem.epsilons]
 
 
 def _fmt(x) -> str:
@@ -265,10 +262,10 @@ _COMPARE_HEADER = ["step", "epsilon", "empirical_probability",
 
 
 def cmd_simulate(pipe: Pipeline, outdir: str) -> int:
-    cfg, sync, ens = pipe.cfg, pipe.sync, pipe.ensemble
+    steps, sync, ens = pipe.problem.steps, pipe.sync, pipe.ensemble
     _write_csv(outdir, "sync_trajectory.csv",
                ["step", "error_norm", "inf_error"],
-               _step_rows(cfg.steps, sync.error_norms, sync.inf_norms))
+               _step_rows(steps, sync.error_norms, sync.inf_norms))
     if sync.snapshots:
         _write_csv(
             outdir, "sync_snapshots.csv", ["step", "point", "value"],
@@ -282,21 +279,22 @@ def cmd_simulate(pipe: Pipeline, outdir: str) -> int:
     _write_csv(
         outdir, "async_ensemble.csv",
         ["step", "mean_error_norm", "mean_sq_error", "max_inf_error"],
-        _step_rows(cfg.steps, mean_norm, ens.mean_sq_error,
+        _step_rows(steps, mean_norm, ens.mean_sq_error,
                    ens.max_inf_error),
     )
     _write_csv(outdir, "exceedance.csv",
                ["step", "epsilon", "empirical_probability"],
-               _eps_rows(cfg.steps, cfg.epsilons, ens.exceedance_table.T))
+               _eps_rows(steps, pipe.problem.epsilons,
+                         ens.exceedance_table.T))
     print(
-        f"simulate: {cfg.ensemble_size} runs x {cfg.steps} steps, "
+        f"simulate: {pipe.cfg.ensemble_size} runs x {steps} steps, "
         f"final mean error norm {mean_norm[-1]:.3e}"
     )
     return EXIT_OK
 
 
 def cmd_analyze(pipe: Pipeline, outdir: str) -> int:
-    cfg = pipe.cfg
+    problem = pipe.problem
     cert, contraction, tc = pipe.certificate
     # the rate comes from P_m and the prefactor from Lambda's own P
     if contraction.lambda_max_p > cert.lambda_max:
@@ -307,12 +305,12 @@ def cmd_analyze(pipe: Pipeline, outdir: str) -> int:
         )
     e0_norm = float(np.linalg.norm(pipe.e0))
     bound = analysis.convergence_rate_bound(
-        cert, e0_norm, cfg.steps, k_const=contraction.k_const
+        cert, e0_norm, problem.steps, k_const=contraction.k_const
     )
     _write_csv(outdir, "rate_bound.csv", ["step", "mean_error_bound"],
-               _step_rows(cfg.steps, bound))
+               _step_rows(problem.steps, bound))
     _write_csv(outdir, "prob_bound.csv", ["step", "epsilon", "bound"],
-               _eps_rows(cfg.steps, cfg.epsilons, pipe.error_bounds))
+               _eps_rows(problem.steps, problem.epsilons, pipe.error_bounds))
     certificate = {
         "dim": pipe.aspec.dim,
         "lambda_max_p_m": cert.lambda_max,
@@ -342,7 +340,7 @@ def cmd_analyze(pipe: Pipeline, outdir: str) -> int:
 
 
 def cmd_verify(pipe: Pipeline, outdir: str) -> int:
-    aspec, dist, proj = pipe.aspec, pipe.run_cfg.dist, pipe.proj
+    aspec, dist, proj = pipe.aspec, pipe.problem.dist, pipe.proj
     cap = pipe.cfg.mode_cap
     failures = []
     prob_sum = 0.0
@@ -362,7 +360,7 @@ def cmd_verify(pipe: Pipeline, outdir: str) -> int:
     if abs(prob_sum - 1.0) > 1e-12:
         failures.append(f"mode probabilities sum to {prob_sum}")
 
-    rng = np.random.default_rng(pipe.cfg.seed)
+    rng = np.random.default_rng(pipe.problem.seed)
     q, nn = aspec.buffer_len, aspec.grid.total_points
     for _ in range(20):
         state = sim.AsyncSimState(history=rng.standard_normal((q, nn)))
@@ -387,15 +385,15 @@ def cmd_verify(pipe: Pipeline, outdir: str) -> int:
 
 
 def cmd_compare(pipe: Pipeline, outdir: str) -> int:
-    cfg, ens = pipe.cfg, pipe.ensemble
+    epsilons, ens = pipe.problem.epsilons, pipe.ensemble
     mean_sq = ens.mean_sq_error
     _write_csv(
         outdir, "comparison.csv", _COMPARE_HEADER,
-        _eps_rows(cfg.steps, cfg.epsilons, ens.exceedance_table.T,
-                  [np.minimum(1.0, mean_sq / eps) for eps in cfg.epsilons],
+        _eps_rows(pipe.problem.steps, epsilons, ens.exceedance_table.T,
+                  [np.minimum(1.0, mean_sq / eps) for eps in epsilons],
                   pipe.error_bounds),
     )
-    k_fix = pipe.sweep_step
+    k_fix = pipe.cfg.sweep_step
     sq_norms = ens.norms_at[k_fix] ** 2
     _write_csv(
         outdir, "comparison_sweep.csv", _COMPARE_HEADER,
@@ -403,10 +401,10 @@ def cmd_compare(pipe: Pipeline, outdir: str) -> int:
             [k_fix, _fmt(eps), _fmt((sq_norms > eps).mean()),
              _fmt(min(1.0, mean_sq[k_fix] / eps)),
              _fmt(pipe.error_bound(eps, k_fix)[k_fix])]
-            for eps in cfg.sweep_epsilons
+            for eps in pipe.cfg.sweep_epsilons
         ),
     )
-    print(f"compare: wrote comparison curves for {len(cfg.epsilons)} epsilons "
+    print(f"compare: wrote comparison curves for {len(epsilons)} epsilons "
           f"and a sweep at step {k_fix}")
     return EXIT_OK
 
@@ -433,15 +431,8 @@ def _build_parser() -> argparse.ArgumentParser:
              "one shared pipeline",
     )
     parser.add_argument("--config", required=True, help="JSON config path")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument(
-        "--workers", type=int, default=os.cpu_count() or 1,
-        help="threads that split each ensemble batch's runs (>= 1)",
-    )
-    parser.add_argument(
-        "--cap", type=int, default=None,
-        help="mode-enumeration cap (verify only)",
-    )
+    parser.add_argument("--out", default=None,
+                        help="output directory (overrides output_dir)")
     return parser
 
 
@@ -456,10 +447,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
     except ConfigError as exc:
         return _error("config", exc, EXIT_CONFIG)
-    if args.workers < 1:
-        return _error(
-            "config", ConfigError("--workers must be >= 1"), EXIT_CONFIG
-        )
 
     outdir = args.out or cfg.output_dir or "."
     try:
@@ -467,9 +454,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         return _error("io", exc, EXIT_IO)
 
-    if args.cap is not None:
-        cfg = replace(cfg, mode_cap=args.cap)
-    pipe = Pipeline(cfg, args.workers)
+    pipe = Pipeline(cfg)
     try:
         for command in args.commands:
             code = COMMANDS[command](pipe, outdir)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import asyncheat
@@ -52,9 +53,17 @@ def read_csv(path):
 class TestLoadConfig:
     def test_defaults_filled(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
-        assert cfg.points_per_pe == 1
-        assert cfg.u_left == 1.0 and cfg.u_right == 0.0
-        assert cfg.initial == "cos2"
+        problem = cfg.problem
+        assert problem.aspec.grid.points_per_pe == 1
+        assert problem.bc.u_left == 1.0 and problem.bc.u_right == 0.0
+        cos2 = asyncheat.cos2_initial_condition(problem.aspec.grid)
+        np.testing.assert_array_equal(problem.initial[1:-1], cos2[1:-1])
+        np.testing.assert_array_equal(
+            problem.dist.probs,
+            asyncheat.SwitchingDistribution.uniform(problem.aspec).probs,
+        )
+        assert cfg.mode_cap == 100_000
+        assert cfg.output_dir is None
         assert cfg.snapshot_steps == (0, 20, 40)
         assert cfg.sweep_step == 40
         assert cfg.sweep_epsilons == (0.01, 1.0)
@@ -82,7 +91,28 @@ class TestLoadConfig:
     def test_explicit_initial_vector(self, tmp_path):
         path = write_config(tmp_path, {"initial": [1.0, 0.7, 0.3, 0.0]})
         cfg = load_config(path)
-        assert cfg.initial == [1.0, 0.7, 0.3, 0.0]
+        np.testing.assert_array_equal(cfg.problem.initial,
+                                      [1.0, 0.7, 0.3, 0.0])
+
+    @pytest.mark.parametrize("key", ["num_pes", "buffer_len", "steps", "seed",
+                                     "ensemble_size", "sweep_step",
+                                     "mode_cap", "points_per_pe"])
+    def test_non_integral_number_rejected(self, tmp_path, key):
+        path = write_config(tmp_path, {key: 2.7})
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
+    def test_integral_float_accepted(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, {"steps": 40.0,
+                                                  "ensemble_size": 20.0}))
+        assert cfg.problem.steps == 40 and cfg.ensemble_size == 20
+        assert isinstance(cfg.problem.steps, int)
+
+    @pytest.mark.parametrize("snaps", [[-1], [0, 41], [0, 2.5]])
+    def test_snapshot_steps_outside_horizon_rejected(self, tmp_path, snaps):
+        path = write_config(tmp_path, {"snapshot_steps": snaps})
+        with pytest.raises(ConfigError, match="snapshot_steps"):
+            load_config(path)
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -107,13 +137,14 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
 
     def test_mode_cap_exit_2(self, tmp_path, capsys):
-        path = write_config(tmp_path, {"num_pes": 12, "buffer_len": 3})
-        code = main(["verify", "--config", path, "--cap", "100"])
+        path = write_config(tmp_path, {"num_pes": 12, "buffer_len": 3,
+                                       "mode_cap": 100})
+        code = main(["verify", "--config", path])
         assert code == EXIT_CONFIG
 
     def test_mode_cap_zero_exit_2(self, tmp_path, capsys):
-        path = write_config(tmp_path)
-        code = main(["verify", "--config", path, "--cap", "0"])
+        path = write_config(tmp_path, {"mode_cap": 0})
+        code = main(["verify", "--config", path])
         assert code == EXIT_CONFIG
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "config"
@@ -127,17 +158,32 @@ class TestExitCodes:
         assert err["error"] == "config"
         assert "sweep_step" in err["message"]
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_nonpositive_workers_exit_2(self, tmp_path, capsys, workers):
-        path = write_config(tmp_path)
+    @pytest.mark.parametrize("overrides", [
+        {"ensemble_size": 0},
+        {"sweep_epsilons": [0.5, 0.0]},
+        {"epsilons": [float("nan")]},
+        {"seed": -1},
+        {"num_pes": "abc"},
+        {"num_pes": None},
+        {"buffer_len": True},
+        {"u_left": None},
+        {"epsilons": 5},
+        {"delay_probs": [0.5, "x"]},
+        {"initial": [1.0, 0.5]},
+        {"output_dir": 5},
+    ], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
+    def test_bad_value_exit_2_before_output(self, tmp_path, capsys,
+                                            overrides):
+        # written directly: write_config drops keys set to None
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**BASE_CONFIG, **overrides}))
         out = tmp_path / "out"
-        code = main(["simulate", "--config", path, "--out", str(out),
-                     "--workers", workers])
+        code = main(["simulate", "analyze", "compare", "--config", str(path),
+                     "--out", str(out)])
         assert code == EXIT_CONFIG
         assert not out.exists()
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "config"
-        assert "--workers" in err["message"]
 
     def test_numerical_failure_exit_3(self, tmp_path, capsys, monkeypatch):
         from asyncheat import analysis, cli
@@ -219,7 +265,7 @@ class TestSimulate:
         path = write_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["simulate", "--config", path, "--out", str(out1)])
-        main(["simulate", "--config", path, "--out", str(out2), "--workers", "4"])
+        main(["simulate", "--config", path, "--out", str(out2)])
         for name in ("sync_trajectory.csv", "async_ensemble.csv",
                      "exceedance.csv", "sync_snapshots.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
@@ -395,6 +441,23 @@ class TestPipeline:
         assert calls["run_ensemble"] == 1
         assert calls["tail_constants"] == 1
         assert 1 <= calls["solve_discrete_lyapunov"] <= 2
+
+    def test_problem_built_once(self, tmp_path, monkeypatch):
+        """load_config builds the one RunConfig that every stage reads."""
+        from asyncheat import cli
+
+        built = []
+        real = cli.sim.RunConfig
+
+        def counted(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli.sim, "RunConfig", counted)
+        path = write_config(tmp_path)
+        assert main(["simulate", "analyze", "compare", "--config", path,
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert len(built) == 1
 
     def test_stops_at_first_failing_command(self, tmp_path, monkeypatch):
         from asyncheat import analysis, cli
