@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -75,6 +76,22 @@ def _integral(value, key: str) -> int:
     return value
 
 
+def _real(value, key: str) -> float:
+    """``value`` as a float; only finite JSON numbers are accepted, so
+    strings, booleans, NaN and infinities are refused, not converted."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _reals(values, key: str) -> tuple[float, ...]:
+    """A non-empty list of finite numbers as a tuple of floats."""
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{key} must be a non-empty list, got {values!r}")
+    return tuple(_real(v, key) for v in values)
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Parse and strictly validate a JSON experiment config, building its
     domain objects once; every invalid value raises ``ConfigError``."""
@@ -97,9 +114,9 @@ def load_config(path: str) -> ExperimentConfig:
             num_pes=_integral(raw["num_pes"], "num_pes"),
             points_per_pe=_integral(raw.get("points_per_pe", 1),
                                     "points_per_pe"),
-            dx=float(raw["dx"]),
-            dt=float(raw["dt"]),
-            alpha=float(raw["alpha"]),
+            dx=_real(raw["dx"], "dx"),
+            dt=_real(raw["dt"], "dt"),
+            alpha=_real(raw["alpha"], "alpha"),
         )
         aspec = modes.AugmentedSpec(
             grid=spec, buffer_len=_integral(raw["buffer_len"], "buffer_len")
@@ -108,17 +125,19 @@ def load_config(path: str) -> ExperimentConfig:
             dist = modes.SwitchingDistribution.uniform(aspec)
         else:
             dist = modes.SwitchingDistribution.from_delay_probs(
-                aspec, tuple(float(p) for p in raw["delay_probs"])
+                aspec, _reals(raw["delay_probs"], "delay_probs")
             )
-        bc = grid.BoundaryConditions(u_left=float(raw.get("u_left", 1.0)),
-                                     u_right=float(raw.get("u_right", 0.0)))
+        bc = grid.BoundaryConditions(
+            u_left=_real(raw.get("u_left", 1.0), "u_left"),
+            u_right=_real(raw.get("u_right", 0.0), "u_right"),
+        )
         initial = raw.get("initial", "cos2")
         if initial == "cos2":
             u0 = grid.cos2_initial_condition(spec)
         elif initial == "ramp":
             u0 = grid.steady_state_profile(spec, bc)
         elif isinstance(initial, list):
-            u0 = np.asarray(initial, dtype=float)
+            u0 = np.array(_reals(initial, "initial"))
         else:
             raise ConfigError(
                 f"initial must be 'cos2', 'ramp' or a vector, got {initial!r}"
@@ -131,7 +150,7 @@ def load_config(path: str) -> ExperimentConfig:
             bc=bc,
             steps=steps,
             seed=_integral(raw["seed"], "seed"),
-            epsilons=tuple(float(e) for e in raw.get("epsilons", (0.01, 1.0))),
+            epsilons=_reals(raw.get("epsilons", [0.01, 1.0]), "epsilons"),
         )
         ensemble_size = _integral(raw.get("ensemble_size", 300),
                                   "ensemble_size")
@@ -143,11 +162,11 @@ def load_config(path: str) -> ExperimentConfig:
         sweep_step = _integral(raw.get("sweep_step", 9000), "sweep_step")
         sweep_eps = raw.get("sweep_epsilons")
         sweep_epsilons = (problem.epsilons if sweep_eps is None
-                          else tuple(float(e) for e in sweep_eps))
+                          else _reals(sweep_eps, "sweep_epsilons"))
         mode_cap = _integral(raw.get("mode_cap", 100_000), "mode_cap")
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
     output_dir = raw.get("output_dir")

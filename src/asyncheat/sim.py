@@ -11,12 +11,13 @@ bit for bit, so the ensemble engine steps a ring of block-0 rows (see
 only: latest first, as (steps+q, Nn) rows where row steps-j holds step j
 and the q-1 trailing rows repeat step 0. The q rows from row steps-k are then
 step k's whole augmented vector, and the (steps+1, Nnq) statistics are
-read-only overlapping views of those rows (see ``_augmented``). Each run's
-error norms are reduced over the runs as they are computed, into per-step
-tables, so an ensemble's memory does not grow with its run count. Every
-per-step sum, of the block-0 rows and of the tables alike, is added onto
-in run order, so no output depends on how the runs are batched or split
-over threads.
+read-only overlapping views of those rows (see ``_augmented``). The engine
+computes no statistic of the runs' error norms itself: it hands each window
+of them to its caller's reduce/fold pair, and ``run_ensemble``'s pair
+reduces them over the runs into per-step tables, so an ensemble's memory
+does not grow with its run count. Every per-step sum, of the block-0 rows
+and of the tables alike, is added onto in run order, so no output depends
+on how the runs are batched or split over threads.
 """
 
 from __future__ import annotations
@@ -353,7 +354,7 @@ def _window_max(a: np.ndarray, q: int) -> np.ndarray:
 
 
 def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
-                    out=None):
+                    out=None, first=0):
     """Core engine: simulate len(seeds) runs in lockstep.
 
     Blocks 1..q-1 of the augmented state are block 0 at earlier steps, bit
@@ -375,28 +376,29 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
     the module docstring), and the row maxima over the blocks are windowed
     maxima of block 0's after the join. No output depends on ``workers``.
 
-    Without ``out``, the sums start from zero, the buffered norms are
-    written to per-run arrays and the call returns per-run error/inf
-    norms, read-only (steps+1, dim) views of the per-step sum and
-    sum-of-squares of error vectors, and snapshots of the newest grid
-    state of run 0 at the requested steps.
+    ``out`` is (sums, reduce, fold): the (2, steps+q, Nn) block-0 sums of
+    err and err*err, added onto in run order, and the caller's pair for
+    the per-run norms. At the end of each window ``done`` (a slice of
+    steps), each slice of runs calls ``reduce(done, runs, norms, maxima)``
+    before it waits. ``runs`` is its run range, a slice of run indices
+    counted from ``first``; ``norms`` and ``maxima`` are its runs'
+    fl(||e||) and block-0 inf norms, (len(runs), len(done)) views that the
+    next window overwrites. Once the previous slice has folded the window,
+    it calls ``fold(done, part)`` on what ``reduce`` returned. So the
+    reductions run in parallel, and a chain that ``fold`` continues is one
+    sequential sum in run order. The call returns the snapshots of the
+    newest grid state of run 0 at the requested steps.
 
-    ``out`` is (sums, sq_norms, counts, peaks, kept) for ``run_ensemble``
-    to carry across batches: the (2, steps+q, Nn) block-0 sums of err and
-    err*err and the per-step tables, all added onto in run order. Each
-    window adds its runs' fl(||e||)**2 onto the (steps+1,) ``sq_norms``,
-    continuing one chain from run to run, the number of them above each
-    epsilon onto the (steps+1, len(epsilons)) ``counts``, and their
-    largest block-0 inf norm into the (steps+1,) ``peaks``. ``kept`` maps
-    steps to (runs,) arrays that receive the per-run norms there. Nothing
-    of size runs x steps is allocated, and the call returns the snapshots.
+    Without ``out``, the sums start from zero, the pair writes the norms
+    to per-run arrays, and the call returns per-run error/inf norms,
+    read-only (steps+1, dim) views of the per-step sum and sum-of-squares
+    of error vectors, and the snapshots.
     """
     aspec = cfg.aspec
     runs, steps = len(seeds), cfg.steps
     q, nn = aspec.buffer_len, aspec.grid.total_points
     ramp = steady_state_profile(aspec.grid, cfg.bc)  # block 0 of X_ss
     cdf = cfg.dist.cdf
-    epsilons = np.array(cfg.epsilons)
     num_edges = aspec.num_edges
     chunk_steps = min(_CHUNK_STEPS, steps)
     slices = min(workers, runs)
@@ -418,9 +420,8 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
     # err and err*err rings, with one more run row per slice for the
     # previous slice's sums: fold_step_bytes a ring row
     es = np.empty((2, runs + slices, rows, nn))
-    # a window of each run's norms and block-0 inf norms; the norms have
-    # one more row per slice, for the sum of squares so far
-    window_norms = np.empty((runs + slices, window))
+    # a window of each run's norms and block-0 inf norms
+    window_norms = np.empty((runs, window))
     maxima = np.empty((runs, window))
     magnitude = np.empty((runs, nn))  # |err| of the newest row
 
@@ -428,10 +429,14 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
     if per_run:
         error_norms = np.empty((runs, steps + 1))
         inf_norms = np.empty((runs, steps + 1))
-        sums = np.zeros((2, steps + q, nn))
-        kept = {}
-    else:
-        sums, sq_norms, counts, peaks, kept = out
+
+        def keep_all(done, span, norms, maxima):
+            span = slice(span.start - first, span.stop - first)
+            error_norms[span, done] = norms
+            inf_norms[span, done] = maxima
+
+        out = np.zeros((2, steps + q, nn)), keep_all, lambda done, part: None
+    sums, reduce, fold = out
     snapshot_steps = set(snapshot_steps)
     snapshots: dict[int, np.ndarray] = {}
     order = _RunOrder(slices)
@@ -445,8 +450,7 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
         state = ring[lo:hi]
         mine = es[:, lo + i:hi + i + 1]
         err, sq = mine[:, 1:]
-        my_norms = window_norms[lo + i:hi + i + 1]
-        norms, mx = my_norms[1:], maxima[lo:hi]
+        norms, mx = window_norms[lo:hi], maxima[lo:hi]
         mag = magnitude[lo:hi]
 
         for k in range(steps + 1):
@@ -474,30 +478,14 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
             np.add.reduce(augmented_sq, axis=1, out=norm)
             np.sqrt(norm, out=norm)
             np.abs(err[:, r], out=mag).max(axis=1, out=mx[:, slot])
-            if k in kept:
-                kept[k][lo:hi] = norm
             if i == 0 and k in snapshot_steps:
                 snapshots[k] = state[0, r].copy()
             if slot == window - 1 or k == steps:
                 done = slice(k - slot, k + 1)
-                if per_run:
-                    error_norms[lo:hi, done] = norms[:, :slot + 1]
-                    inf_norms[lo:hi, done] = mx[:, :slot + 1]
-                else:
-                    squares = my_norms[:, :slot + 1]
-                    np.square(squares[1:], out=squares[1:])
-                    peak = mx[:, :slot + 1].max(axis=0)
-                    hits = np.count_nonzero(
-                        squares[1:, :, None] > epsilons, axis=0
-                    )
+                part = reduce(done, slice(first + lo, first + hi),
+                              norms[:, :slot + 1], mx[:, :slot + 1])
                 order.wait(i, k + 1)
-                if not per_run:
-                    # an accumulate is sequential for any window length
-                    squares[0] = sq_norms[done]
-                    np.add.accumulate(squares, axis=0, out=squares)
-                    sq_norms[done] = squares[-1]
-                    counts[done] += hits
-                    np.maximum(peaks[done], peak, out=peaks[done])
+                fold(done, part)
                 block_sums = sums[:, steps - k:steps - k + slot + 1]
                 mine[:, 0, r:window] = block_sums
                 np.add.reduce(mine[:, :, r:window], axis=1, out=block_sums)
@@ -546,7 +534,11 @@ def run_ensemble(cfg: RunConfig, num_runs: int, workers: int = 1,
     """Seeded ensemble; run i uses a counter-derived seed from cfg.seed.
 
     Runs are simulated in batches of ``_BATCH_RUNS``, one after another;
-    ``workers`` threads split each batch's runs. Every per-step sum and
+    ``workers`` threads split each batch's runs. The per-run norms go
+    through one reduce/fold pair (see ``_simulate_batch``): ``reduce``
+    squares a slice's window of norms, counts those above each epsilon,
+    takes the largest inf norm and keeps the norms at ``norm_steps``;
+    ``fold`` adds them onto the per-step tables. Every per-step sum and
     table is folded in run order, one chain across slices and batches, so
     no output depends on the batching or on ``workers``. Per-run norms
     are kept at ``norm_steps`` only, so memory is
@@ -560,17 +552,33 @@ def run_ensemble(cfg: RunConfig, num_runs: int, workers: int = 1,
     if any(not 0 <= k <= steps for k in norm_steps):
         raise ValueError(f"norm_steps must lie in [0, {steps}]")
     kept = {k: np.empty(num_runs) for k in sorted(set(norm_steps))}
+    epsilons = np.array(cfg.epsilons)
     sq_norms = np.zeros(steps + 1)
     counts = np.zeros((steps + 1, len(cfg.epsilons)), dtype=np.intp)
     peaks = np.zeros(steps + 1)
+
+    def reduce(done, runs, norms, maxima):
+        for k in kept.keys() & range(done.start, done.stop):
+            kept[k][runs] = norms[:, k - done.start]
+        squares = np.square(norms)
+        hits = np.count_nonzero(squares[:, :, None] > epsilons, axis=0)
+        return squares, hits, maxima.max(axis=0)
+
+    def fold(done, part):
+        squares, hits, peak = part
+        # the sums so far as a carry row on top: an accumulate is
+        # sequential for any window length
+        chain = np.vstack((sq_norms[done], squares))
+        sq_norms[done] = np.add.accumulate(chain)[-1]
+        counts[done] += hits
+        np.maximum(peaks[done], peak, out=peaks[done])
+
     # block-0 sums of err and err*err (see _simulate_batch)
     total = np.zeros((2, steps + q, cfg.aspec.grid.total_points))
     for lo in range(0, num_runs, _BATCH_RUNS):
         hi = min(lo + _BATCH_RUNS, num_runs)
         seeds = [run_seed_sequence(cfg.seed, i) for i in range(lo, hi)]
-        batch_kept = {k: norms[lo:hi] for k, norms in kept.items()}
-        _simulate_batch(cfg, seeds, (), workers,
-                        (total, sq_norms, counts, peaks, batch_kept))
+        _simulate_batch(cfg, seeds, (), workers, (total, reduce, fold), lo)
 
     # in place, in the operand order of (sumsq - n*mean**2) / (n-1)
     mean, var = total

@@ -108,6 +108,25 @@ class TestLoadConfig:
         assert cfg.problem.steps == 40 and cfg.ensemble_size == 20
         assert isinstance(cfg.problem.steps, int)
 
+    def test_integer_for_float_key_accepted(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, {
+            "dx": 1, "alpha": 1, "u_left": 2, "u_right": 0,
+            "epsilons": [1], "sweep_epsilons": [2], "delay_probs": [1, 0],
+            "initial": [2, 1, 1, 0],
+        }))
+        problem = cfg.problem
+        assert problem.aspec.grid.dx == 1.0
+        assert problem.bc.u_left == 2.0 and problem.bc.u_right == 0.0
+        assert problem.epsilons == (1.0,) and cfg.sweep_epsilons == (2.0,)
+        assert all(isinstance(e, float)
+                   for e in (*problem.epsilons, *cfg.sweep_epsilons))
+        np.testing.assert_array_equal(problem.initial, [2.0, 1.0, 1.0, 0.0])
+
+    def test_integer_beyond_float_range_rejected(self, tmp_path):
+        path = write_config(tmp_path, {"u_left": 10**400})
+        with pytest.raises(ConfigError, match="too large"):
+            load_config(path)
+
     @pytest.mark.parametrize("snaps", [[-1], [0, 41], [0, 2.5]])
     def test_snapshot_steps_outside_horizon_rejected(self, tmp_path, snaps):
         path = write_config(tmp_path, {"snapshot_steps": snaps})
@@ -171,6 +190,14 @@ class TestExitCodes:
         {"delay_probs": [0.5, "x"]},
         {"initial": [1.0, 0.5]},
         {"output_dir": 5},
+        {"dx": "1.0"},
+        {"u_left": True},
+        {"u_right": float("nan")},
+        {"epsilons": ["0.01"]},
+        {"delay_probs": ["0.5", "0.5"]},
+        {"initial": [1.0, 0.7, 0.3, "0"]},
+        {"epsilons": []},
+        {"sweep_epsilons": []},
     ], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
     def test_bad_value_exit_2_before_output(self, tmp_path, capsys,
                                             overrides):

@@ -659,6 +659,52 @@ class TestStreamedTables:
         )
 
 
+class TestFoldPair:
+    """A caller's reduce/fold pair sees every window of per-run norms:
+    reduce on each slice, then fold in run order."""
+
+    @pytest.mark.parametrize("first", [0, 5])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    # _FOLD_BYTES = 0 gives window = 1; the default gives a partial last
+    # window
+    @pytest.mark.parametrize("fold_bytes", [sim._FOLD_BYTES, 0],
+                             ids=["windows", "window1"])
+    def test_fourth_powers_sum_in_run_order(self, monkeypatch, fold_bytes,
+                                            workers, first, runs=7):
+        monkeypatch.setattr(sim, "_FOLD_BYTES", fold_bytes)
+        cfg = make_config(num_pes=6, q=3, steps=3 * sim._FOLD_STEPS + 5,
+                          seed=9)
+        steps, q = cfg.steps, cfg.aspec.buffer_len
+        seeds = [run_seed_sequence(cfg.seed, first + i) for i in range(runs)]
+        sums = np.zeros((2, steps + q, cfg.aspec.grid.total_points))
+        fourth = np.zeros(steps + 1)
+        folded = []  # (first run, last run + 1, step) of every fold
+
+        def reduce(done, mine, norms, maxima):
+            shape = (mine.stop - mine.start, done.stop - done.start)
+            assert norms.shape == maxima.shape == shape
+            return mine, np.square(np.square(norms))
+
+        def fold(done, part):
+            mine, powers = part
+            folded.extend((mine.start, mine.stop, k)
+                          for k in range(done.start, done.stop))
+            for row in powers:
+                fourth[done] += row
+
+        sim._simulate_batch(cfg, seeds, (), workers, (sums, reduce, fold),
+                            first)
+        want = np.zeros(steps + 1)
+        for row in _ref_simulate_batch(cfg, seeds)[0]:
+            want += np.square(np.square(row))
+        assert np.array_equal(fourth, want)
+        bounds = [first + runs * i // workers for i in range(workers + 1)]
+        assert sorted(folded) == [
+            (lo, hi, k) for lo, hi in zip(bounds, bounds[1:])
+            for k in range(steps + 1)
+        ]
+
+
 class TestBlockZeroViews:
     """mean_error and var_error are read-only views of block-0 rows."""
 
