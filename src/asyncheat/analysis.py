@@ -210,24 +210,81 @@ class TailConstants:
         return 1.0 - (1.0 - self.c1) / (self.k0 * self.c0)
 
 
-def _powers(w_tilde: np.ndarray, horizon: int):
-    """Yield (k, W~^k) for k = 0..horizon, stepping by sparse products.
+# the head slots in front of one power in the walk's ring (see _walk)
+_RING_HEADS = 8
+
+
+def _head_rows(later: np.ndarray, keep: np.ndarray) -> int:
+    """The number n of rows that a step by ``later`` makes anew.
+
+    At an augmented mode, rows n.. of ``later`` are the buffer shift: rows
+    ..dim-n of the identity, with the columns of W~'s zero rows
+    (``~keep``) zeroed, and n is the grid size. A step by it copies rows
+    ..dim-n of a power into rows n.. exactly, the rows it zeroes being
+    zero in every power. A matrix with no such shift makes all dim rows
+    anew.
+    """
+    dim = len(later)
+    rows, cols = np.nonzero(later)
+    # at a shift, the last nonzero entry is its bottom row's 1.0
+    n = int(rows[-1] - cols[-1]) if len(rows) else 0
+    if 0 < n < dim and np.array_equal(
+        later[n:], np.diag(keep.astype(float))[:dim - n]
+    ):
+        return n
+    return dim
+
+
+def _walk(w_tilde: np.ndarray, horizon: int):
+    """Yield (k, W~^k, new) for k = 0..horizon; rows ..new of W~^k are new.
 
     Row j of W~^k, k >= 1, is row j of W~ times W~^(k-1), so it is zero
     wherever row j of W~ is, and column j of W~ only ever meets zeros.
     After W~^1 the walk therefore steps by W~ with those columns zeroed;
-    at the paper's modes they include Psi's two dense columns.
-    The dropped terms are a*0.0, so each power is W~ @ W~^k bit for bit.
+    at the paper's modes they include Psi's two dense columns. The
+    dropped terms are a*0.0, so each power is W~ @ W~^k bit for bit.
+
+    That step's rows n.. copy the previous power's rows ..dim-n (see
+    ``_head_rows``), so a power computes only its n head rows, with one
+    sparse product, written in place into a latest-first ring of rows:
+    W~^k is the dim contiguous rows from its head, and the previous
+    power's rows follow it. When the ring's front is reached, the power
+    is carried to the ring's tail. A yielded power is a view, valid until
+    the walk moves on.
     """
     import scipy.sparse  # kept off the CLI's import path
-    step = scipy.sparse.csr_array(w_tilde)
+    # the kernel of a CSR @ dense product, which adds into a given array
+    from scipy.sparse._sparsetools import csr_matvecs
+    dim = w_tilde.shape[0]
+    keep = w_tilde.any(axis=1)
     later = w_tilde.copy()
-    later[:, ~w_tilde.any(axis=1)] = 0.0
-    later = scipy.sparse.csr_array(later)
-    m = np.eye(w_tilde.shape[0])
-    for k in range(horizon + 1):
+    later[:, ~keep] = 0.0
+    n = _head_rows(later, keep)
+    head = scipy.sparse.csr_array(later[:n])
+    tail = _RING_HEADS * n  # where W~^1, and each carried power, sits
+    ring = np.empty((tail + dim, dim))
+    yield 0, np.eye(dim), dim
+    if horizon < 1:
+        return
+    ring[tail:] = scipy.sparse.csr_array(w_tilde) @ np.eye(dim)
+    top = tail  # W~^k is ring[top:top + dim]
+    yield 1, ring[tail:], dim
+    for k in range(2, horizon + 1):
+        if top < n:  # carry the power to the tail, to make room for a head
+            ring[tail:] = ring[top:top + dim]
+            top = tail
+        rows = ring[top - n:top]
+        rows.fill(0.0)
+        csr_matvecs(n, dim, dim, head.indptr, head.indices, head.data,
+                    ring[top:top + dim].reshape(-1), rows.reshape(-1))
+        top -= n
+        yield k, ring[top:top + dim], n
+
+
+def _powers(w_tilde: np.ndarray, horizon: int):
+    """Yield (k, W~^k) for k = 0..horizon (see ``_walk``)."""
+    for k, m, _ in _walk(w_tilde, horizon):
         yield k, m
-        m = (later if k else step) @ m
 
 
 def tail_constants(w_tilde: np.ndarray, horizon: int = 100_000) -> TailConstants:
@@ -236,21 +293,35 @@ def tail_constants(w_tilde: np.ndarray, horizon: int = 100_000) -> TailConstants
     A power's spectral norm is read only where it can matter: a power
     with ||W~^k||_F^4 <= c0 cannot raise c0, and one with ||W~^k u|| >= 1
     for the unit warm-start vector u has norm >= 1, so it is not k0.
+    Both sums run over per-row terms kept latest first, as the walk keeps
+    the rows: a power computes the terms of its new rows only, and those
+    of ||W~^k u|| anew only after u changes.
     """
     w_tilde = np.asarray(w_tilde, dtype=float)
+    dim = w_tilde.shape[0]
     c0 = 1.0
     # the smallest ||W~^k||^4 over k >= 1, computed and skipped ones apart;
     # a skipped power only has the lower bound ||W~^k u||^4 >= 1
     smallest = at_least = np.inf
     u = None  # warm start for the singular-vector iteration
-    for k, m in _powers(w_tilde, horizon):
-        # ||W~^k||_F^4 by einsum: a BLAS dot would run on every thread
-        if u is not None and np.einsum("ij,ij->", m, m) ** 2 <= c0:
-            gain = float(np.linalg.norm(m @ u))
+    frobenius = np.empty(dim)  # the squared norms of W~^k's rows
+    gains = None  # the squares of W~^k u, or None after u changes
+    for k, m, new in _walk(w_tilde, horizon):
+        frobenius[new:] = frobenius[:dim - new]
+        # by einsum: a BLAS dot would run on every thread
+        np.einsum("ij,ij->i", m[:new], m[:new], out=frobenius[:new])
+        if u is not None and frobenius.sum() ** 2 <= c0:
+            if gains is None:
+                gains = np.square(m @ u)
+            else:
+                gains[new:] = gains[:dim - new]
+                np.square(m[:new] @ u, out=gains[:new])
+            gain = float(np.sqrt(gains.sum()))
             if gain >= 1.0:
                 at_least = min(at_least, gain**4)
                 continue
         norm_k, u = _top_singular_value(m, u)
+        gains = None
         fourth = norm_k**4
         if fourth < 1.0:
             # confirm against the full SVD before committing to k0

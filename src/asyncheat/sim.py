@@ -39,8 +39,9 @@ from .modes import AugmentedSpec, SwitchingDistribution
 
 _CHUNK_STEPS = 256  # delay pre-sampling granularity
 # A slice buffers its block-0 rows for at most this many steps before
-# folding them onto the axis-0 sums, and the batch's fold buffer takes at
-# most about this many bytes, so big batches fold more often.
+# recording them and folding them onto the axis-0 sums, and the batch's
+# fold buffer takes at most about this many bytes, so big batches fold
+# more often.
 _FOLD_STEPS = 32
 _FOLD_BYTES = 1 << 22
 # runs simulated at once by run_ensemble; no output depends on it.
@@ -189,13 +190,14 @@ def _count_delays(u: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> np.ndarray
     """Per-edge categorical delays from uniforms, written into ``out``.
 
     The last axis of ``u`` runs over edges; each draw's delay is the
-    number of its edge's thresholds cdf[e, :-1] that it reaches.
+    number of its edge's thresholds cdf[e, :-1] that it reaches. The first
+    threshold's comparison writes ``out`` (no draw reaches an infinite
+    one, so with no thresholds every delay is 0).
     """
-    out[...] = 0
-    reached = np.empty(u.shape, dtype=bool)
-    for j in range(cdf.shape[1] - 1):
-        np.greater_equal(u, cdf[:, j], out=reached)
-        np.add(out, reached.view(np.uint8), out=out)
+    *thresholds, _ = cdf.T
+    np.greater_equal(u, thresholds[0] if thresholds else np.inf, out=out)
+    for threshold in thresholds[1:]:
+        out += u >= threshold
     return out
 
 
@@ -362,19 +364,21 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
     window+q grid rows, in which X(k) is the q rows from row
     window-1-(k mod window). A step writes one row (see ``_advance``), and
     at the start of each window of steps the q newest rows are carried to
-    the ring's tail. err and err*err are computed for block 0 only, into
-    rings of the same layout, and a step's norm reduces its q rows of
-    err*err as one augmented row.
+    the ring's tail. A step only samples, advances and copies a snapshot:
+    the record waits for the end of its window (see ``_FOLD_STEPS``).
+    There err and err*err are computed for block 0 only, into rings of the
+    same layout, and a step's norm reduces its q rows of err*err as one
+    augmented row; each of these, and the block-0 inf norms, is one call
+    over the window's rows.
 
     The runs are split into ``workers`` contiguous slices (at most one a
     run), each stepped on its own thread with its own stencil plan and
-    streams. A slice buffers its runs' norms and block-0 inf norms for a
-    window of steps (see ``_FOLD_STEPS``). At the end of each window,
-    once the previous slice has folded it, the slice adds its err and
-    err*err ring rows onto the per-step sums, so they stay one sequential
-    sum in run order. Only block 0 is summed, into latest-first rows (see
-    the module docstring), and the row maxima over the blocks are windowed
-    maxima of block 0's after the join. No output depends on ``workers``.
+    streams. At the end of each window, once the previous slice has
+    folded it, a slice adds its err and err*err ring rows onto the
+    per-step sums, so they stay one sequential sum in run order. Only
+    block 0 is summed, into latest-first rows (see the module docstring),
+    and the row maxima over the blocks are windowed maxima of block 0's
+    after the join. No output depends on ``workers``.
 
     ``out`` is (sums, reduce, fold): the (2, steps+q, Nn) block-0 sums of
     err and err*err, added onto in run order, and the caller's pair for
@@ -408,6 +412,7 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
         1, min(_FOLD_STEPS, steps + 1, _FOLD_BYTES // fold_step_bytes)
     )
     rows = window + q
+    ramps = np.tile(ramp, rows)  # block 0 of X_ss in each ring row
 
     # Batch-wide buffers, of which each slice takes its rows. They are
     # allocated on this thread: buffers freed in a worker thread's malloc
@@ -423,7 +428,7 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
     # a window of each run's norms and block-0 inf norms
     window_norms = np.empty((runs, window))
     maxima = np.empty((runs, window))
-    magnitude = np.empty((runs, nn))  # |err| of the newest row
+    lows = np.empty((runs, window))  # -min(err) of a window's rows
 
     per_run = out is None
     if per_run:
@@ -450,8 +455,37 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
         state = ring[lo:hi]
         mine = es[:, lo + i:hi + i + 1]
         err, sq = mine[:, 1:]
-        norms, mx = window_norms[lo:hi], maxima[lo:hi]
-        mag = magnitude[lo:hi]
+        norms, mx, low = window_norms[lo:hi], maxima[lo:hi], lows[lo:hi]
+        # each run's ring rows as one row of columns
+        flat_state, flat_err, flat_sq = (
+            a.reshape(n, rows * nn) for a in (state, err, sq)
+        )
+
+        def record(r):
+            """err, err*err and the norms of a window's steps, whose rows
+            are r..window-1, latest first; each is one call."""
+            # the steps' rows and the oldest step's q-1 older ones
+            span = slice(r * nn, (window + q - 1) * nn)
+            e = flat_err[:, span]
+            np.subtract(flat_state[:, span], ramps[span], out=e)
+            np.multiply(e, e, out=flat_sq[:, span])
+            latest = slice(window - 1 - r, None, -1)  # slots, latest first
+            # np.linalg.norm(err, axis=1) over each step's augmented row,
+            # spelled out: q contiguous rows of err*err
+            augmented_sq = sliding_window_view(
+                flat_sq[:, span], q * nn, axis=1)[:, ::nn]
+            norm = norms[:, latest]
+            np.add.reduce(augmented_sq, axis=2, out=norm)
+            np.sqrt(norm, out=norm)
+            # the block-0 inf norm, max(max e, -min e), and abs for the
+            # sign of an all-zero row
+            block0 = err[:, r:window]
+            peak, least = mx[:, latest], low[:, latest]
+            np.max(block0, axis=2, out=peak)
+            np.min(block0, axis=2, out=least)
+            np.negative(least, out=least)
+            np.maximum(least, peak, out=peak)
+            np.abs(peak, out=peak)
 
         for k in range(steps + 1):
             slot = k % window
@@ -459,7 +493,6 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
             if k:
                 if slot == 0:  # a new window: carry X(k-1) to the tail
                     state[:, window:] = state[:, :q]
-                    sq[:, window:] = sq[:, :q]
                 t = (k - 1) % _CHUNK_STEPS
                 if t == 0:
                     chunk = min(_CHUNK_STEPS, steps - k + 1)
@@ -467,20 +500,10 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
                         rng.random(out=u[:chunk])
                         _count_delays(u[:chunk], cdf, delays[j, :chunk])
                 _advance(state, r, delays[lo:hi, t], plan)
-                new = slice(r, r + 1)
-            else:
-                new = slice(r, r + q)
-            np.subtract(state[:, new], ramp, out=err[:, new])
-            np.multiply(err[:, new], err[:, new], out=sq[:, new])
-            # np.linalg.norm(err, axis=1) over the augmented row, spelled out
-            augmented_sq = sq[:, r:r + q].reshape(n, q * nn)
-            norm = norms[:, slot]
-            np.add.reduce(augmented_sq, axis=1, out=norm)
-            np.sqrt(norm, out=norm)
-            np.abs(err[:, r], out=mag).max(axis=1, out=mx[:, slot])
             if i == 0 and k in snapshot_steps:
                 snapshots[k] = state[0, r].copy()
             if slot == window - 1 or k == steps:
+                record(r)
                 done = slice(k - slot, k + 1)
                 part = reduce(done, slice(first + lo, first + hi),
                               norms[:, :slot + 1], mx[:, :slot + 1])

@@ -24,8 +24,9 @@ def random_stable(n, rho, seed):
     return m * (rho / max(abs(np.linalg.eigvals(m))))
 
 
-def paper_worst_deflated(num_pes=3, q=2):
-    aspec = ah.AugmentedSpec(grid=exact_spec(num_pes), buffer_len=q)
+def paper_worst_deflated(num_pes=3, q=2, points_per_pe=1):
+    aspec = ah.AugmentedSpec(grid=exact_spec(num_pes, points_per_pe),
+                             buffer_len=q)
     proj = ah.build_projector(aspec)
     return ah.deflate(ah.worst_case_mode(aspec), proj)
 
@@ -282,6 +283,91 @@ class TestTailWalkOracle:
         tc = ah.tail_constants(w_tilde)
         assert tc.k0 == 597
         assert len(calls) <= 40
+
+
+def perturbed_shift():
+    """An augmented mode (N=6, q=3) one of whose buffer-shift entries
+    reads 0.5, not 1.0."""
+    w_tilde = paper_worst_deflated(6, 3)
+    assert w_tilde[6 + 2, 2] == 1.0  # block 1, point 2, from block 0
+    w_tilde[6 + 2, 2] = 0.5
+    return w_tilde
+
+
+# (matrix, rows a step makes anew): the grid size at augmented modes, and
+# the whole dimension where there is no exact buffer shift
+WALKS = [
+    pytest.param(lambda: paper_worst_deflated(8, 2), 8, id="N8-q2"),
+    pytest.param(lambda: paper_worst_deflated(6, 4), 6, id="N6-q4"),
+    pytest.param(lambda: paper_worst_deflated(5, 3, points_per_pe=2), 10,
+                 id="5x2-q3"),
+    pytest.param(lambda: paper_worst_deflated(6, 1), 6, id="N6-q1"),
+    pytest.param(perturbed_shift, 18, id="perturbed-shift"),
+    pytest.param(lambda: random_stable(70, 0.9, 51), 70, id="dense70"),
+]
+
+
+class TestPowerRing:
+    """The walk makes only each power's new head rows, into a ring."""
+
+    @pytest.mark.parametrize("w_tilde, head", WALKS)
+    def test_powers_are_bit_identical_to_stepping_by_w_tilde(self, w_tilde,
+                                                             head):
+        import scipy.sparse
+
+        w_tilde = w_tilde()
+        step = scipy.sparse.csr_array(w_tilde)
+        want = np.eye(w_tilde.shape[0])
+        # long enough to wrap the ring five times
+        horizon = 5 * analysis._RING_HEADS + 2
+        walked = 0
+        for k, m in analysis._powers(w_tilde, horizon):
+            assert k == walked
+            assert m.tobytes() == want.tobytes(), k
+            want = step @ want
+            walked += 1
+        assert walked == horizon + 1
+
+    @pytest.mark.parametrize("w_tilde, head", WALKS)
+    def test_head_size_is_found_from_the_matrix(self, w_tilde, head):
+        w_tilde = w_tilde()
+        dim = w_tilde.shape[0]
+        news = [new for _, _, new in analysis._walk(w_tilde, 4)]
+        assert news == [dim, dim, head, head, head]
+
+    @pytest.mark.parametrize(
+        "w_tilde",
+        [
+            pytest.param(lambda: paper_worst_deflated(25, 3), id="N25-q3"),
+            pytest.param(lambda: paper_worst_deflated(12, 4, points_per_pe=2),
+                         id="12x2-q4"),
+        ],
+    )
+    def test_norm_checks_match_whole_power_sums(self, monkeypatch, w_tilde):
+        """The per-row terms skip exactly the powers that sums over whole
+        powers skip: the iteration sees the same powers, in order."""
+        w_tilde = w_tilde()
+        norms = []
+
+        def recorded(m, u0=None):
+            norm, u = _top_singular_value(m, u0)
+            norms.append(norm)
+            return norm, u
+
+        want, c0, u = [], 1.0, None
+        for _, m in analysis._powers(w_tilde, 100_000):
+            if u is not None and np.einsum("ij,ij->", m, m) ** 2 <= c0:
+                if np.linalg.norm(m @ u) >= 1.0:
+                    continue
+            norm, u = _top_singular_value(m, u)
+            want.append(norm)
+            if norm**4 < 1.0 and ah.spectral_norm(m) ** 4 < 1.0:
+                break
+            c0 = max(c0, norm**4)
+        monkeypatch.setattr(analysis, "_top_singular_value", recorded)
+        ah.tail_constants(w_tilde)
+        assert len(want) > 10
+        assert norms == want
 
 
 class TestSecondMomentBound:

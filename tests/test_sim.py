@@ -589,6 +589,33 @@ class TestEngineOracle:
         self.test_matches_reference_engine(kw, snaps, 7, workers)
 
 
+class TestWindowRecord:
+    """The record at each window's end equals the reference engine's
+    per-step record at every step, with a snapshot at every step."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "fold, kw",
+        # 27 steps from step 0: windows of 2 and 5 leave a partial last one
+        [
+            (dict(_FOLD_BYTES=0), dict(num_pes=6, q=3, steps=26)),
+            (dict(_FOLD_STEPS=2),
+             dict(num_pes=4, points_per_pe=4, q=4, steps=26, seed=3, r=0.3,
+                  dist=_skewed_dist())),
+            (dict(_FOLD_STEPS=5), dict(num_pes=6, q=3, steps=26, seed=9,
+                                       r=0.4)),
+        ],
+        ids=["window1", "window2-q4", "window5"],
+    )
+    def test_every_step_matches_reference(self, monkeypatch, fold, kw,
+                                          workers):
+        for name, value in fold.items():
+            monkeypatch.setattr(sim, name, value)
+        TestEngineOracle().test_matches_reference_engine(
+            kw, range(kw["steps"] + 1), 7, workers
+        )
+
+
 class TestGatherLayouts:
     """Stencils without cross-PE edges, and with within-PE reads too."""
 
