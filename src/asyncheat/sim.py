@@ -108,82 +108,86 @@ def init_state(initial: np.ndarray, q: int) -> AsyncSimState:
     return AsyncSimState(history=np.tile(initial, (q, 1)), step=0)
 
 
-class _StencilPlan:
-    """Precomputed gather indices for the buffered update of ``runs`` runs.
+def _index_dtype(entries: int) -> type:
+    """CSR index type for a ring of ``entries`` numbers: int32 when every
+    index fits in it, else intp."""
+    return np.int32 if entries <= np.iinfo(np.int32).max else np.intp
 
-    Each run's states are ``rows`` latest-first grid rows of a (runs, rows,
-    Nn) ring (see ``_advance``). A neighbour read is within-PE, a delay-0
-    read of the newest block, unless a cross-PE edge supplies it.
-    ``reads`` holds the left and right reads of the interior points, as
-    (2, runs, Nn-2). ``base`` is the flat ring index of each edge's delay-0
-    read counted from the previous state's first row, so a read with delay
-    d sits at ``d * Nn + base``. When the edges supply every read, ``base``
-    has the layout of ``reads`` and ``places`` is None; otherwise ``base``
-    is (runs, num_edges) and ``places`` is each edge's (side, point) in
-    ``reads``.
+
+class _StencilPlan:
+    """The buffered update of ``runs`` runs as one CSR matrix.
+
+    The runs' grid states are the latest-first rows of a step-major
+    (rows, runs, Nn) ring (see ``_advance``). Counted from the previous
+    state's first row, a read of point j of run i with delay d sits at
+    flat index d * stride + i * Nn + j, where stride = runs * Nn. The
+    matrix has a row per grid point of every run: each interior row holds
+    its left read, then its right read, each weighted by r, and the
+    endpoint rows are empty. A read is within-PE, a fixed delay-0 index,
+    unless a cross-PE edge supplies it; ``base`` is each edge's delay-0
+    index, as (runs, num_edges), and each step writes the edges' indices
+    into ``edge_indices``. When the edges supply every read, that is
+    ``indices`` itself and ``slots`` is None; otherwise ``slots`` is where
+    each edge's index sits in ``indices``.
     """
 
     def __init__(self, aspec: AugmentedSpec, runs: int, rows: int):
+        # the kernel of a CSR matrix-vector product, which adds into its
+        # output; imported here to keep scipy.sparse off the CLI's path
+        from scipy.sparse._sparsetools import csr_matvec
+        self.matvec = csr_matvec
         g = aspec.grid
         nn = g.total_points
         self.nn = nn
         self.r = g.r
+        self.stride = runs * nn
+        index = _index_dtype(rows * self.stride)
         edges, nbs = aspec.edge_arrays
-        base = np.arange(runs)[:, None] * (rows * nn) + nbs
-        self.reads = np.empty((2, runs, nn - 2))
-        if len(nbs) == 2 * (nn - 2):
-            # the edges run over (point, side), two to a point
-            self.base = _sides(base).copy()
-            self.places = None
+        firsts = np.arange(runs)[:, None] * nn  # each run's point 0
+        interior = np.arange(1, nn - 1)
+        sides = np.stack([interior - 1, interior + 1], axis=1).ravel()
+        self.indices = (firsts + sides).astype(index).ravel()
+        per_row = np.full(nn, 2)
+        per_row[::nn - 1] = 0  # the endpoints
+        self.indptr = np.zeros(runs * nn + 1, dtype=index)
+        np.cumsum(np.tile(per_row, runs), out=self.indptr[1:])
+        self.data = np.full(len(self.indices), self.r)
+        self.base = (firsts + nbs).astype(index)
+        if len(nbs) == len(sides):
+            # the edges run over (point, side), as the entries do
+            self.edge_indices = self.indices.reshape(self.base.shape)
+            self.slots = None
         else:
-            self.base = base
-            self.places = ((nbs > edges).astype(np.intp), slice(None),
-                           edges - 1)
-            self.gathered = np.empty(base.shape)
-        self.idx = np.empty(self.base.shape, dtype=np.intp)
-
-
-def _sides(per_edge: np.ndarray) -> np.ndarray:
-    """(2, runs, Nn-2) view of (runs, num_edges) values when every
-    interior read is an edge."""
-    return per_edge.reshape(len(per_edge), -1, 2).transpose(2, 0, 1)
+            self.edge_indices = np.empty_like(self.base)
+            self.slots = (np.arange(runs)[:, None] * len(sides)
+                          + 2 * (edges - 1) + (nbs > edges))
 
 
 def _advance(
     ring: np.ndarray, r: int, delays: np.ndarray, plan: _StencilPlan
 ) -> None:
-    """One buffered update of a batch, written into row ``r`` of ``ring``.
+    """One buffered update of a slice of runs, written into row ``r`` of
+    ``ring``.
 
-    ``ring`` is (runs, rows, Nn) with each run's grid states latest first:
-    rows r+1..r+q hold the previous state's blocks 0..q-1, and only row r
-    is written. ``delays`` is (runs, num_edges). The cross-PE reads are
-    one gather; the within-PE reads come from the newest block. The sum
-    keeps the operand order (1-2r)*u_i + r*left + r*right of the mode
-    matrix product.
+    ``ring`` is a C-contiguous (rows, runs, Nn) array whose rows are the
+    runs' grid states latest first: rows r+1..r+q hold the previous
+    state's blocks 0..q-1, and only row r is written. ``delays`` is (runs,
+    num_edges), each in [0, q-1], for the kernel checks no index. The
+    update is (1-2r)*u over whole rows, onto which one CSR product adds
+    r*left and then r*right, in the operand order of the mode matrix
+    product; the Dirichlet endpoints are then copied over.
     """
-    nn = plan.nn
-    flat = ring.reshape(-1)[(r + 1) * nn:]
-    prev = ring[:, r + 1]
-    left, right = reads = plan.reads
-    # mode="clip" writes ``out`` unbuffered; every index is in the ring
-    if plan.places is None:
-        np.multiply(_sides(delays), nn, out=plan.idx, dtype=np.intp)
-        plan.idx += plan.base
-        flat.take(plan.idx, out=reads, mode="clip")
-        reads *= plan.r
-    else:
-        np.multiply(delays, nn, out=plan.idx, dtype=np.intp)
-        plan.idx += plan.base
-        flat.take(plan.idx, out=plan.gathered, mode="clip")
-        plan.gathered *= plan.r
-        np.multiply(prev[:, :-2], plan.r, out=left)
-        np.multiply(prev[:, 2:], plan.r, out=right)
-        reads[plan.places] = plan.gathered.T
-    new = ring[:, r, 1:-1]
-    np.multiply(prev[:, 1:-1], 1.0 - 2.0 * plan.r, out=new)
-    new += left
-    new += right
-    ring[:, r, ::nn - 1] = prev[:, ::nn - 1]  # Dirichlet endpoints
+    idx = plan.edge_indices
+    np.multiply(delays, plan.stride, out=idx, dtype=idx.dtype)
+    idx += plan.base
+    if plan.slots is not None:
+        plan.indices[plan.slots] = idx
+    prev, new = ring[r + 1], ring[r]
+    np.multiply(prev, 1.0 - 2.0 * plan.r, out=new)
+    reads = ring.reshape(-1)[(r + 1) * plan.stride:]
+    plan.matvec(plan.stride, len(reads), plan.indptr, plan.indices,
+                plan.data, reads, new.reshape(-1))
+    new[:, ::plan.nn - 1] = prev[:, ::plan.nn - 1]  # Dirichlet endpoints
 
 
 def _count_delays(u: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -218,10 +222,10 @@ def async_step(
     """
     delays = aspec.check_delays(delays)
     q = aspec.buffer_len
-    ring = np.empty((1, q + 1, aspec.grid.total_points))
-    ring[0, 1:] = state.history
+    ring = np.empty((q + 1, 1, aspec.grid.total_points))
+    ring[1:, 0] = state.history
     _advance(ring, 0, delays[None, :], _StencilPlan(aspec, 1, q + 1))
-    return AsyncSimState(history=ring[0, :q], step=state.step + 1)
+    return AsyncSimState(history=ring[:q, 0], step=state.step + 1)
 
 
 @dataclass(frozen=True)
@@ -362,18 +366,20 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
     Blocks 1..q-1 of the augmented state are block 0 at earlier steps, bit
     for bit, so each run keeps block-0 rows only: a latest-first ring of
     window+q grid rows, in which X(k) is the q rows from row
-    window-1-(k mod window). A step writes one row (see ``_advance``), and
-    at the start of each window of steps the q newest rows are carried to
-    the ring's tail. A step only samples, advances and copies a snapshot:
-    the record waits for the end of its window (see ``_FOLD_STEPS``).
-    There err and err*err are computed for block 0 only, into rings of the
-    same layout, and a step's norm reduces its q rows of err*err as one
-    augmented row; each of these, and the block-0 inf norms, is one call
-    over the window's rows.
+    window-1-(k mod window). The ring is step-major, (rows, runs, Nn), so
+    a step writes one contiguous row for all of a slice's runs with one
+    CSR product (see ``_advance``), and at the start of each window of
+    steps the q newest rows are carried to the ring's tail. A step only
+    samples, advances and copies a snapshot: the record waits for the end
+    of its window (see ``_FOLD_STEPS``). There err and err*err are
+    computed for block 0 only, into run-major (runs, rows, Nn) rings, and
+    a step's norm reduces its q rows of err*err as one augmented row; each
+    of these, and the block-0 inf norms, is one call over the window's
+    rows.
 
     The runs are split into ``workers`` contiguous slices (at most one a
-    run), each stepped on its own thread with its own stencil plan and
-    streams. At the end of each window, once the previous slice has
+    run), each stepped on its own thread with its own ring, stencil plan
+    and streams. At the end of each window, once the previous slice has
     folded it, a slice adds its err and err*err ring rows onto the
     per-step sums, so they stay one sequential sum in run order. Only
     block 0 is summed, into latest-first rows (see the module docstring),
@@ -412,13 +418,17 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
         1, min(_FOLD_STEPS, steps + 1, _FOLD_BYTES // fold_step_bytes)
     )
     rows = window + q
-    ramps = np.tile(ramp, rows)  # block 0 of X_ss in each ring row
 
-    # Batch-wide buffers, of which each slice takes its rows. They are
-    # allocated on this thread: buffers freed in a worker thread's malloc
-    # arena stay resident.
-    ring = np.empty((runs, rows, nn))
-    ring[:, window - 1:window - 1 + q] = cfg.initial  # X(0)
+    # Each slice's step-major ring and stencil plan, and batch-wide
+    # buffers of which each slice takes its rows. They are allocated on
+    # this thread: buffers freed in a worker thread's malloc arena stay
+    # resident.
+    rings = [np.empty((rows, hi - lo, nn))
+             for lo, hi in zip(bounds, bounds[1:])]
+    plans = [_StencilPlan(aspec, hi - lo, rows)
+             for lo, hi in zip(bounds, bounds[1:])]
+    for ring in rings:
+        ring[window - 1:window - 1 + q] = cfg.initial  # X(0)
     delays = np.empty(
         (runs, chunk_steps, num_edges), dtype=np.min_scalar_type(q - 1)
     )
@@ -449,25 +459,24 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
     def step_slice(i):
         lo, hi = bounds[i], bounds[i + 1]
         n = hi - lo
-        plan = _StencilPlan(aspec, n, rows)
         rngs = [np.random.default_rng(s) for s in seeds[lo:hi]]
         u = np.empty((chunk_steps, num_edges))
-        state = ring[lo:hi]
+        state, plan = rings[i], plans[i]
         mine = es[:, lo + i:hi + i + 1]
         err, sq = mine[:, 1:]
         norms, mx, low = window_norms[lo:hi], maxima[lo:hi], lows[lo:hi]
-        # each run's ring rows as one row of columns
-        flat_state, flat_err, flat_sq = (
-            a.reshape(n, rows * nn) for a in (state, err, sq)
-        )
+        # each run's err and err*err ring rows as one row of columns
+        flat_err, flat_sq = (a.reshape(n, rows * nn) for a in (err, sq))
 
         def record(r):
             """err, err*err and the norms of a window's steps, whose rows
             are r..window-1, latest first; each is one call."""
-            # the steps' rows and the oldest step's q-1 older ones
+            # the steps' rows and the oldest step's q-1 older ones, from
+            # the step-major ring into the run-major err ring
+            np.subtract(state[r:window + q - 1].transpose(1, 0, 2), ramp,
+                        out=err[:, r:window + q - 1])
             span = slice(r * nn, (window + q - 1) * nn)
             e = flat_err[:, span]
-            np.subtract(flat_state[:, span], ramps[span], out=e)
             np.multiply(e, e, out=flat_sq[:, span])
             latest = slice(window - 1 - r, None, -1)  # slots, latest first
             # np.linalg.norm(err, axis=1) over each step's augmented row,
@@ -492,7 +501,7 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
             r = window - 1 - slot  # X(k) is rows r..r+q-1
             if k:
                 if slot == 0:  # a new window: carry X(k-1) to the tail
-                    state[:, window:] = state[:, :q]
+                    state[window:] = state[:q]
                 t = (k - 1) % _CHUNK_STEPS
                 if t == 0:
                     chunk = min(_CHUNK_STEPS, steps - k + 1)
@@ -501,7 +510,7 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
                         _count_delays(u[:chunk], cdf, delays[j, :chunk])
                 _advance(state, r, delays[lo:hi, t], plan)
             if i == 0 and k in snapshot_steps:
-                snapshots[k] = state[0, r].copy()
+                snapshots[k] = state[r, 0].copy()
             if slot == window - 1 or k == steps:
                 record(r)
                 done = slice(k - slot, k + 1)

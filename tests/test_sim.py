@@ -298,7 +298,7 @@ class TestEnsemble:
         slice_rows = (3, 4)  # 7 runs on 2 workers
 
         def advance(ring, r, delays, plan):
-            if ring.shape[0] == slice_rows[failing]:
+            if delays.shape[0] == slice_rows[failing]:
                 raise RuntimeError("slice failed")
             real(ring, r, delays, plan)
 
@@ -631,6 +631,90 @@ class TestGatherLayouts:
     def test_matches_reference_engine(self, kw, workers):
         snaps = (0, 1, kw["steps"])
         TestEngineOracle().test_matches_reference_engine(kw, snaps, 7, workers)
+
+
+# The stencil plans of TestStencilKernel: every interior read an edge,
+# within-PE reads too, no edge at all, and a one-row history.
+_KERNEL_PLANS = dict(
+    all_edge=dict(num_pes=6, q=3),
+    two_points_per_pe=dict(num_pes=4, points_per_pe=2, q=3),
+    one_pe=dict(num_pes=1, points_per_pe=7, q=3),
+    q1=dict(num_pes=6, q=1),
+)
+
+
+class TestStencilKernel:
+    """``_advance``'s CSR product on a step-major ring, against the
+    reference update, and the indices that the unchecked kernel reads."""
+
+    runs, window = 5, 3
+
+    @pytest.mark.parametrize("r", [0.5, 0.3])
+    @pytest.mark.parametrize("kw", _KERNEL_PLANS.values(),
+                             ids=_KERNEL_PLANS.keys())
+    def test_matches_reference_bit_for_bit(self, kw, r):
+        """Signed zeros count: at r = 1/2, (1-2r)*u is +0.0 or -0.0."""
+        aspec = make_config(r=r, **kw).aspec
+        q, nn = aspec.buffer_len, aspec.grid.total_points
+        rows = self.window + q
+        rng = np.random.default_rng(11)
+        plan = sim._StencilPlan(aspec, self.runs, rows)
+        ref = _RefStencilPlan(aspec)
+        for row in range(self.window):
+            ring = rng.standard_normal((rows, self.runs, nn))
+            zeros = rng.random(ring.shape)
+            ring[zeros < 0.4] = -0.0
+            ring[zeros > 0.8] = 0.0
+            delays = rng.integers(0, q, (self.runs, aspec.num_edges),
+                                  dtype=np.uint8)
+            hist = ring[row + 1:row + 1 + q].transpose(1, 0, 2)
+            want = _ref_advance(hist, delays, ref)[:, 0]
+            before = ring.copy()
+            sim._advance(ring, row, delays, plan)
+            assert np.array_equal(ring[row].view(np.uint64),
+                                  want.view(np.uint64))
+            # only row ``row`` is written
+            others = np.arange(rows) != row
+            assert np.array_equal(ring[others].view(np.uint64),
+                                  before[others].view(np.uint64))
+
+    @pytest.mark.parametrize("kw", _KERNEL_PLANS.values(),
+                             ids=_KERNEL_PLANS.keys())
+    def test_indices_stay_in_the_ring(self, kw):
+        aspec = make_config(**kw).aspec
+        q, nn = aspec.buffer_len, aspec.grid.total_points
+        rows = self.window + q
+        plan = sim._StencilPlan(aspec, self.runs, rows)
+        stride = plan.stride
+        assert stride == self.runs * nn
+        assert plan.indices.dtype == plan.indptr.dtype == np.int32
+        # two entries for each interior row, none for an endpoint
+        per_row = np.full(nn, 2)
+        per_row[[0, -1]] = 0
+        assert np.array_equal(np.diff(plan.indptr),
+                              np.tile(per_row, self.runs))
+        # every delay-0 index, within-PE or an edge's, lies in one row
+        within = np.ones(len(plan.indices), dtype=bool)
+        within[slice(None) if plan.slots is None else plan.slots] = False
+        for delay0 in (plan.indices[within], plan.base):
+            assert ((0 <= delay0) & (delay0 < stride)).all()
+        # so a read with delay q-1 from row r+1 stays in the ring for
+        # every row r < window that a step writes
+        oldest = (q - 1) * stride + plan.base
+        for row in range(self.window):
+            assert ((row + 1) * stride + oldest < rows * stride).all()
+        ring = np.zeros((rows, self.runs, nn))
+        delays = np.full((self.runs, aspec.num_edges), q - 1, dtype=np.uint8)
+        sim._advance(ring, self.window - 1, delays, plan)
+        assert np.array_equal(plan.edge_indices, oldest)
+        assert plan.indices.min() >= 0
+        assert plan.indices.max() < q * stride
+
+    def test_index_dtype(self):
+        """int32 while every index of the ring fits in it; nothing is
+        allocated."""
+        assert sim._index_dtype(2**31 - 1) is np.int32
+        assert sim._index_dtype(2**31) is np.intp
 
 
 class TestStreamedTables:
