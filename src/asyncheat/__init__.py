@@ -16,13 +16,11 @@ from .modes import (
     AugmentedSpec,
     DeflationError,
     ModeCountError,
-    ModeMatrix,
     SteadyStateProjector,
     SwitchingDistribution,
     build_mode_matrix,
     build_projector,
     deflate,
-    enumerate_modes,
     expected_matrix,
     mode_probability,
     verify_eigenstructure,
@@ -34,11 +32,8 @@ from .sim import (
     RunConfig,
     Trajectory,
     async_step,
-    init_state,
     run_ensemble,
     run_sync_reference,
-    run_trajectory,
-    sample_delays,
 )
 from .analysis import (
     ErrorBoundCurve,
@@ -47,8 +42,6 @@ from .analysis import (
     convergence_rate_bound,
     error_probability_bound,
     exact_mean_curve,
-    kron_norm_identity_check,
-    second_moment_bound_check,
     solve_discrete_lyapunov,
     spectral_norm,
     tail_constants,

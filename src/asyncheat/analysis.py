@@ -14,10 +14,6 @@ import scipy.linalg
 
 from .modes import spectral_radius
 
-# the largest lifted dimension (Nnq)^2 whose Kronecker-lifted matrix the
-# direct checks materialize
-_LIFTED_DIM_GUARD = 2500
-
 
 class LyapunovError(RuntimeError):
     """Discrete Lyapunov solve failed (unstable input or bad residual)."""
@@ -53,24 +49,6 @@ class LyapunovCertificate:
     @property
     def k_const(self) -> float:
         return self.lambda_max / self.lambda_min
-
-
-def lyapunov_series(w_tilde: np.ndarray, tol: float = 1e-14) -> np.ndarray:
-    """P = sum_k (W~')^k (W~)^k by squared (Smith) iteration.
-
-    Independent of the direct solver; used as its oracle.
-    """
-    p = np.eye(w_tilde.shape[0])
-    m = np.asarray(w_tilde, dtype=float)
-    for _ in range(200):
-        increment = m.T @ p @ m
-        p = p + increment
-        if np.linalg.norm(increment) < tol * np.linalg.norm(p):
-            break
-        m = m @ m
-    else:
-        raise LyapunovError("series accumulation did not converge")
-    return p
 
 
 def solve_discrete_lyapunov(w_tilde: np.ndarray) -> LyapunovCertificate:
@@ -281,12 +259,6 @@ def _walk(w_tilde: np.ndarray, horizon: int):
         yield k, ring[top:top + dim], n
 
 
-def _powers(w_tilde: np.ndarray, horizon: int):
-    """Yield (k, W~^k) for k = 0..horizon (see ``_walk``)."""
-    for k, m, _ in _walk(w_tilde, horizon):
-        yield k, m
-
-
 def tail_constants(w_tilde: np.ndarray, horizon: int = 100_000) -> TailConstants:
     """Find (k0, c0, c1) by walking powers of the worst-case mode.
 
@@ -368,53 +340,6 @@ def _top_singular_value(m: np.ndarray, u0=None, tol: float = 1e-12):
 
 
 @dataclass(frozen=True)
-class SecondMomentReport:
-    """Verified chain lambda_max(P~_m) < sum ||W~^k||^4 <= k0 c0/(1-c1)."""
-
-    lifted_lambda_max: float
-    truncated_sum: float
-    tail_bound: float
-    chain_holds: bool
-    constants: TailConstants
-
-
-def second_moment_bound_check(
-    w_tilde: np.ndarray, horizon: int = 500
-) -> SecondMomentReport:
-    """Solve the Kronecker-lifted Lyapunov equation and verify the chain.
-
-    The lifted dimension (Nnq)^2 must not exceed ``_LIFTED_DIM_GUARD``;
-    beyond it, only the bound (no direct verification) is available and
-    this raises instead.
-    """
-    w_tilde = np.asarray(w_tilde, dtype=float)
-    lifted_dim = w_tilde.shape[0] ** 2
-    if lifted_dim > _LIFTED_DIM_GUARD:
-        raise ValueError(
-            f"lifted dimension {lifted_dim} exceeds guard "
-            f"{_LIFTED_DIM_GUARD}; "
-            "use tail_constants for the bound-only mode"
-        )
-    gamma = np.kron(w_tilde, w_tilde)
-    cert = solve_discrete_lyapunov(gamma)
-    tc = tail_constants(w_tilde, horizon=horizon)
-    truncated = 0.0
-    for _, m in _powers(w_tilde, horizon):
-        term = spectral_norm(m) ** 4
-        truncated += term
-        if term < 1e-16:
-            break
-    chain = cert.lambda_max < truncated <= tc.lifted_lambda_max_bound
-    return SecondMomentReport(
-        lifted_lambda_max=cert.lambda_max,
-        truncated_sum=truncated,
-        tail_bound=tc.lifted_lambda_max_bound,
-        chain_holds=bool(chain),
-        constants=tc,
-    )
-
-
-@dataclass(frozen=True)
 class ErrorBoundCurve:
     """min(1, beta(k)) bounding Pr(||e(k)||^2 > epsilon) per step."""
 
@@ -434,7 +359,7 @@ def error_probability_bound(
     = len(e0), the augmented dimension (the vec(I) factor), and rate the
     second-moment rate from the tail constants.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     e0 = np.asarray(e0, dtype=float)
     y0_norm = float(np.dot(e0, e0))  # ||vec(e0 e0')|| = ||e0||^2
@@ -445,26 +370,3 @@ def error_probability_bound(
         * y0_norm
     )
     return ErrorBoundCurve(epsilon=epsilon, values=np.minimum(1.0, beta))
-
-
-@dataclass(frozen=True)
-class KronNormReport:
-    """Both sides of ||(W~ (x) W~)^k|| = ||W~^k||^2."""
-
-    lifted_norm: float
-    squared_norm: float
-
-    @property
-    def difference(self) -> float:
-        return abs(self.lifted_norm - self.squared_norm)
-
-
-def kron_norm_identity_check(w_tilde: np.ndarray, k: int) -> KronNormReport:
-    """Materialize the Kronecker power and compare spectral norms."""
-    w_tilde = np.asarray(w_tilde, dtype=float)
-    if w_tilde.shape[0] ** 2 > _LIFTED_DIM_GUARD:
-        raise ValueError("lifted dimension exceeds guard")
-    gamma = np.kron(w_tilde, w_tilde)
-    lifted = spectral_norm(np.linalg.matrix_power(gamma, k))
-    squared = spectral_norm(np.linalg.matrix_power(w_tilde, k)) ** 2
-    return KronNormReport(lifted_norm=lifted, squared_norm=squared)

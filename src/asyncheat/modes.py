@@ -24,6 +24,20 @@ class DeflationError(RuntimeError):
     """Deflated mode matrix is not strictly stable (construction bug)."""
 
 
+def _delay_values(delays, q: int) -> np.ndarray:
+    """``delays``, of any shape, as an intp array of integers in [0, q-1].
+
+    A non-integral or out-of-range delay is refused, not truncated or
+    wrapped; an integer array is range-checked only.
+    """
+    delays = np.asarray(delays)
+    integral = delays.dtype.kind in "iu" or (
+        delays.dtype.kind == "f" and np.all(delays == np.round(delays)))
+    if not (integral and np.all((delays >= 0) & (delays < q))):
+        raise ValueError(f"delays must be integers in [0, {q - 1}]")
+    return delays.astype(np.intp, copy=False)
+
+
 @dataclass(frozen=True)
 class AugmentedSpec:
     """Grid plus buffer length q; fixes the augmented dimension Nnq.
@@ -84,25 +98,16 @@ class AugmentedSpec:
         return self.edge_arrays[0].size
 
     def check_delays(self, delays) -> np.ndarray:
-        """One delay per edge, each in [0, q-1], as an intp array."""
-        delays = np.asarray(delays, dtype=np.intp).ravel()
+        """One delay per edge, each an integer in [0, q-1], as an intp
+        array."""
+        delays = np.ravel(delays)
         if len(delays) != self.num_edges:
             raise ValueError(f"{len(delays)} delays for {self.num_edges} edges")
-        if np.any((delays < 0) | (delays >= self.buffer_len)):
-            raise ValueError(f"delays must lie in [0, {self.buffer_len - 1}]")
-        return delays
+        return _delay_values(delays, self.buffer_len)
 
     @property
     def mode_count(self) -> int:
         return self.buffer_len**self.num_edges
-
-
-@dataclass(frozen=True)
-class ModeMatrix:
-    """One mode of the switched system: matrix plus its delay pattern."""
-
-    w: np.ndarray
-    delays: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -120,9 +125,10 @@ class SwitchingDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 2:
             raise ValueError("probs must be a (num_edges, q) array")
-        if np.any(p < 0) or np.any(p > 1):
+        # each check holds only for numbers, so a NaN fails it
+        if not np.all((p >= 0) & (p <= 1)):
             raise ValueError("probabilities must lie in [0, 1]")
-        if p.shape[0] > 0 and np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-12):
+        if not np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-12):
             raise ValueError("each per-edge distribution must sum to 1")
         object.__setattr__(self, "probs", p)
 
@@ -146,7 +152,7 @@ class SwitchingDistribution:
         return np.cumsum(self.probs, axis=1)
 
 
-def build_mode_matrix(aspec: AugmentedSpec, delays) -> ModeMatrix:
+def build_mode_matrix(aspec: AugmentedSpec, delays) -> np.ndarray:
     """Mode matrix for one delay pattern.
 
     The shared ``aspec.base`` plus the r-entry of each cross-PE edge,
@@ -156,10 +162,10 @@ def build_mode_matrix(aspec: AugmentedSpec, delays) -> ModeMatrix:
     rows, nbs = aspec.edge_arrays
     w = aspec.base.copy()
     w[rows, delays * aspec.grid.total_points + nbs] = aspec.grid.r
-    return ModeMatrix(w=w, delays=tuple(delays.tolist()))
+    return w
 
 
-def worst_case_mode(aspec: AugmentedSpec) -> ModeMatrix:
+def worst_case_mode(aspec: AugmentedSpec) -> np.ndarray:
     """The all-maximal-delay mode W_m (every edge reads the oldest buffer)."""
     return build_mode_matrix(
         aspec, (aspec.buffer_len - 1,) * aspec.num_edges
@@ -195,15 +201,6 @@ def mode_batches(aspec: AugmentedSpec, cap: int):
         yield delays, w
 
 
-def enumerate_modes(aspec: AugmentedSpec, cap: int = 100_000) -> list[ModeMatrix]:
-    """All q**E mode matrices as a list, in the order of ``mode_batches``."""
-    return [
-        ModeMatrix(w=w, delays=tuple(d))
-        for delays, ws in mode_batches(aspec, cap)
-        for d, w in zip(delays.tolist(), ws)
-    ]
-
-
 @dataclass(frozen=True)
 class SteadyStateProjector:
     """Rank-2 idempotent shared by all modes; X_ss = psi @ X(0)."""
@@ -237,10 +234,6 @@ def build_projector(aspec: AugmentedSpec) -> SteadyStateProjector:
     return SteadyStateProjector(psi=psi, v1=v1, v2=v2, s1=s1, s2=s2)
 
 
-def _as_matrix(w) -> np.ndarray:
-    return w.w if isinstance(w, ModeMatrix) else np.asarray(w, dtype=float)
-
-
 def spectral_radius(m: np.ndarray) -> float:
     """Spectral radius from the dense eigensolver, at every dimension."""
     return float(np.max(np.abs(np.linalg.eigvals(m))))
@@ -252,7 +245,7 @@ def deflate(w, proj: SteadyStateProjector) -> np.ndarray:
     Raises DeflationError if the result is not strictly stable, which
     indicates a construction bug upstream.
     """
-    wt = _as_matrix(w) - proj.psi
+    wt = np.asarray(w, dtype=float) - proj.psi
     rho = spectral_radius(wt)
     if rho >= 1.0 - 1e-12:
         raise DeflationError(f"deflated matrix has spectral radius {rho}")
@@ -303,7 +296,7 @@ def mode_probability(delays, dist: SwitchingDistribution):
     One pattern gives a scalar; an ``(m, E)`` block gives one probability
     per row.
     """
-    delays = np.asarray(delays, dtype=np.intp)
+    delays = _delay_values(delays, dist.probs.shape[1])
     if delays.shape[-1:] != dist.probs.shape[:1]:
         raise ValueError("pattern length does not match distribution")
     return np.prod(dist.probs[np.arange(delays.shape[-1]), delays], axis=-1)
@@ -333,7 +326,7 @@ def verify_eigenstructure(
     largest eigenvalue moduli equal 1 within ``tol`` with the third
     strictly below 1.
     """
-    m = _as_matrix(w)
+    m = np.asarray(w, dtype=float)
     rres = tuple(
         np.linalg.norm(m @ v - v, axis=-1) for v in (proj.v1, proj.v2)
     )

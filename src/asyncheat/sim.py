@@ -81,7 +81,7 @@ class RunConfig:
         object.__setattr__(
             self, "epsilons", tuple(float(e) for e in self.epsilons)
         )
-        if any(e <= 0 for e in self.epsilons):
+        if not all(e > 0 for e in self.epsilons):
             raise ValueError("epsilons must be positive")
 
 
@@ -100,12 +100,6 @@ class AsyncSimState:
     @property
     def newest(self) -> np.ndarray:
         return self.history[0]
-
-
-def init_state(initial: np.ndarray, q: int) -> AsyncSimState:
-    """Prime all q buffers with the initial grid state."""
-    initial = np.asarray(initial, dtype=float)
-    return AsyncSimState(history=np.tile(initial, (q, 1)), step=0)
 
 
 def _index_dtype(entries: int) -> type:
@@ -203,13 +197,6 @@ def _count_delays(u: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> np.ndarray
     for threshold in thresholds[1:]:
         out += u >= threshold
     return out
-
-
-def sample_delays(rng: np.random.Generator, dist: SwitchingDistribution) -> np.ndarray:
-    """Draw one delay per edge from the per-edge categoricals."""
-    cdf = dist.cdf
-    u = rng.random(cdf.shape[0])
-    return _count_delays(u, cdf, np.empty(u.shape, dtype=np.intp))
 
 
 def async_step(
@@ -550,15 +537,6 @@ def _simulate_batch(cfg: RunConfig, seeds, snapshot_steps=(), workers=1,
     # max(k-q+1, 0)..k
     return (error_norms, _window_max(inf_norms, q), _augmented(sums[0], q),
             _augmented(sums[1], q), snapshots)
-
-
-def run_trajectory(cfg: RunConfig, snapshot_steps=()) -> Trajectory:
-    """One deterministic run; error measured against X_ss = psi X(0)."""
-    seeds = [np.random.SeedSequence(entropy=cfg.seed)]
-    err, inf_err, _, _, snaps = _simulate_batch(cfg, seeds, snapshot_steps)
-    return Trajectory(
-        error_norms=err[0], inf_norms=inf_err[0], snapshots=snaps
-    )
 
 
 def run_ensemble(cfg: RunConfig, num_runs: int, workers: int = 1,

@@ -12,9 +12,9 @@ from asyncheat.analysis import (
     LyapunovError,
     TailConstants,
     _top_singular_value,
-    lyapunov_series,
 )
 from conftest import exact_spec
+import oracles
 
 
 def random_stable(n, rho, seed):
@@ -65,7 +65,7 @@ class TestSolveDiscreteLyapunov:
         for n, seed in [(5, 0), (20, 1), (50, 2)]:
             m = random_stable(n, 0.9, seed)
             cert = ah.solve_discrete_lyapunov(m)
-            series = lyapunov_series(m)
+            series = oracles.lyapunov_series(m)
             assert np.allclose(cert.p, series, rtol=1e-9, atol=1e-9)
 
     def test_rejects_unstable(self):
@@ -265,7 +265,7 @@ class TestTailWalkOracle:
         assert not w_tilde.any(axis=1).all()
         step = scipy.sparse.csr_array(w_tilde)
         want = np.eye(w_tilde.shape[0])
-        for k, m in analysis._powers(w_tilde, 200):
+        for k, m, _ in analysis._walk(w_tilde, 200):
             assert m.tobytes() == want.tobytes(), k
             want = step @ want
 
@@ -321,7 +321,7 @@ class TestPowerRing:
         # long enough to wrap the ring five times
         horizon = 5 * analysis._RING_HEADS + 2
         walked = 0
-        for k, m in analysis._powers(w_tilde, horizon):
+        for k, m, _ in analysis._walk(w_tilde, horizon):
             assert k == walked
             assert m.tobytes() == want.tobytes(), k
             want = step @ want
@@ -355,7 +355,7 @@ class TestPowerRing:
             return norm, u
 
         want, c0, u = [], 1.0, None
-        for _, m in analysis._powers(w_tilde, 100_000):
+        for _, m, _ in analysis._walk(w_tilde, 100_000):
             if u is not None and np.einsum("ij,ij->", m, m) ** 2 <= c0:
                 if np.linalg.norm(m @ u) >= 1.0:
                     continue
@@ -372,7 +372,7 @@ class TestPowerRing:
 
 class TestSecondMomentBound:
     def test_chain_on_paper_example(self):
-        report = ah.second_moment_bound_check(paper_worst_deflated())
+        report = oracles.second_moment_bound_check(paper_worst_deflated())
         assert report.chain_holds
         assert (
             report.lifted_lambda_max
@@ -381,12 +381,12 @@ class TestSecondMomentBound:
         )
 
     def test_chain_on_random_contraction(self):
-        report = ah.second_moment_bound_check(random_stable(4, 0.7, 31))
+        report = oracles.second_moment_bound_check(random_stable(4, 0.7, 31))
         assert report.chain_holds
 
     def test_dim_guard(self):
         with pytest.raises(ValueError):
-            ah.second_moment_bound_check(np.eye(60))
+            oracles.second_moment_bound_check(np.eye(60))
 
 
 class TestErrorProbabilityBound:
@@ -411,6 +411,8 @@ class TestErrorProbabilityBound:
         tc = ah.tail_constants(0.5 * np.eye(2))
         with pytest.raises(ValueError):
             ah.error_probability_bound(tc, np.ones(2), 0.0, 10)
+        with pytest.raises(ValueError):
+            ah.error_probability_bound(tc, np.ones(2), np.nan, 10)
 
     def test_dominates_empirical_exceedance_small_system(self):
         """End-to-end: Markov curve sits above the Monte Carlo exceedance."""
@@ -440,12 +442,12 @@ class TestKronNormIdentity:
     def test_identity_holds(self):
         m = random_stable(5, 0.9, 41)
         for k in (1, 2, 5, 10):
-            report = ah.kron_norm_identity_check(m, k)
+            report = oracles.kron_norm_identity_check(m, k)
             assert report.difference <= 1e-10 * max(1.0, report.squared_norm)
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            ah.kron_norm_identity_check(np.eye(60), 2)
+            oracles.kron_norm_identity_check(np.eye(60), 2)
 
 
 @given(

@@ -9,6 +9,7 @@ import asyncheat as ah
 from asyncheat.grid import GridSpec
 from asyncheat.modes import enumerated_expected_matrix
 from conftest import exact_spec
+from oracles import init_state
 
 
 def paper_example_modes(r=0.5):
@@ -35,9 +36,20 @@ def aspec32():
     return ah.AugmentedSpec(grid=exact_spec(3), buffer_len=2)
 
 
+def mode_stack(aspec):
+    """All of ``aspec``'s mode matrices, one chunk of ``mode_batches``."""
+    return next(ah.modes.mode_batches(aspec, aspec.mode_count))[1]
+
+
+@pytest.fixture
+def modes32(aspec32):
+    """The (4, 6, 6) stack of the N=3, q=2 modes."""
+    return mode_stack(aspec32)
+
+
 class TestEnumerateModes:
-    def test_matches_paper_example_as_set(self, aspec32):
-        ours = [m.w for m in ah.enumerate_modes(aspec32)]
+    def test_matches_paper_example_as_set(self, modes32):
+        ours = modes32
         expected = paper_example_modes()
         assert len(ours) == 4
         matched = [
@@ -49,21 +61,21 @@ class TestEnumerateModes:
 
     def test_q1_single_synchronous_mode(self):
         aspec = ah.AugmentedSpec(grid=exact_spec(5), buffer_len=1)
-        ms = ah.enumerate_modes(aspec)
+        ms = mode_stack(aspec)
         assert len(ms) == 1
-        assert np.array_equal(ms[0].w, ah.build_sync_matrix(aspec.grid))
+        assert np.array_equal(ms[0], ah.build_sync_matrix(aspec.grid))
 
     def test_81_distinct_modes(self):
         aspec = ah.AugmentedSpec(grid=exact_spec(4), buffer_len=3)
-        ms = ah.enumerate_modes(aspec)
+        ms = mode_stack(aspec)
         assert len(ms) == 81
         for a, b in itertools.combinations(ms, 2):
-            assert not np.array_equal(a.w, b.w)
+            assert not np.array_equal(a, b)
 
     def test_cap_refused_with_count(self):
         aspec = ah.AugmentedSpec(grid=exact_spec(12), buffer_len=4)
         with pytest.raises(ah.ModeCountError, match=str(aspec.mode_count)):
-            ah.enumerate_modes(aspec, cap=1000)
+            next(ah.modes.mode_batches(aspec, cap=1000))
 
 
 BATCH_SHAPES = [(1, 4, 3), (3, 1, 1), (4, 4, 2), (6, 1, 3)]
@@ -89,7 +101,7 @@ class TestModeBatches:
             assert delays.dtype == np.intp
             assert w.shape == (len(delays), aspec.dim, aspec.dim)
             for d, wi in zip(delays, w):
-                assert np.array_equal(wi, ah.build_mode_matrix(aspec, d).w)
+                assert np.array_equal(wi, ah.build_mode_matrix(aspec, d))
 
     @pytest.mark.parametrize("num_pes, points_per_pe, q", BATCH_SHAPES)
     def test_stacked_eigenstructure_equals_per_mode(
@@ -140,12 +152,12 @@ class TestBuildModeMatrix:
     def test_zero_pattern_top_row_is_sync(self, aspec32):
         m = ah.build_mode_matrix(aspec32, (0, 0))
         a = ah.build_sync_matrix(aspec32.grid)
-        assert np.array_equal(m.w[:3, :3], a)
-        assert np.array_equal(m.w[:3, 3:], np.zeros((3, 3)))
+        assert np.array_equal(m[:3, :3], a)
+        assert np.array_equal(m[:3, 3:], np.zeros((3, 3)))
 
     def test_left_delay_matches_paper_w2(self, aspec32):
         m = ah.build_mode_matrix(aspec32, (1, 0))
-        assert np.array_equal(m.w, paper_example_modes()[1])
+        assert np.array_equal(m, paper_example_modes()[1])
 
     def test_delay_out_of_range(self, aspec32):
         with pytest.raises(ValueError):
@@ -161,7 +173,7 @@ class TestBuildModeMatrix:
             mode = ah.build_mode_matrix(aspec, delays)
             state = ah.AsyncSimState(history=rng.standard_normal((3, 5)))
             stepped = ah.async_step(state, delays, aspec).augmented
-            assert np.array_equal(stepped, mode.w @ state.augmented)
+            assert np.array_equal(stepped, mode @ state.augmented)
 
     def test_edge_layout_general_n(self):
         # 2 PEs x 3 points: only the PE boundary reads are delayed
@@ -172,15 +184,16 @@ class TestBuildModeMatrix:
         m = ah.build_mode_matrix(aspec, (1, 1))
         r = aspec.grid.r
         nn = 6
-        assert m.w[2, nn + 3] == r and m.w[2, 1] == r       # delayed right read
-        assert m.w[3, nn + 2] == r and m.w[3, 4] == r       # delayed left read
-        assert m.w[1, 0] == r and m.w[1, 2] == r            # within-PE reads
+        assert m[2, nn + 3] == r and m[2, 1] == r       # delayed right read
+        assert m[3, nn + 2] == r and m[3, 4] == r       # delayed left read
+        assert m[1, 0] == r and m[1, 2] == r            # within-PE reads
 
 
 # Reference construction: the per-point edge loop, the loop-assembled mode
 # matrix and the edge-patched expected matrix that the scatters onto
 # ``AugmentedSpec.base`` replaced. The scatters must reproduce them bit for
-# bit. Verbatim apart from reading the edge list from ``ref_edges``.
+# bit. Verbatim apart from reading the edge list from ``ref_edges`` and
+# returning the bare matrix.
 def ref_edges(aspec):
     g = aspec.grid
     out = []
@@ -211,14 +224,14 @@ def ref_build_mode_matrix(aspec, delays):
                 w[i, nb] = r
     for d, (i, nb) in zip(delays, edges):
         w[i, d * nn + nb] = r
-    return ah.ModeMatrix(w=w, delays=delays)
+    return w
 
 
 def ref_expected_matrix(aspec, dist, proj):
     edges = ref_edges(aspec)
     nn = aspec.grid.total_points
     r = aspec.grid.r
-    ew = ref_build_mode_matrix(aspec, (0,) * len(edges)).w.copy()
+    ew = ref_build_mode_matrix(aspec, (0,) * len(edges)).copy()
     for e, (i, nb) in enumerate(edges):
         ew[i, nb] = 0.0  # remove the zero-delay placement
         for d in range(aspec.buffer_len):
@@ -248,10 +261,9 @@ class TestScatterOracle:
         for delays in patterns:
             got = ah.build_mode_matrix(aspec, delays)
             want = ref_build_mode_matrix(aspec, delays)
-            assert np.array_equal(got.w, want.w)
-            assert got.delays == want.delays
+            assert np.array_equal(got, want)
         worst = ref_build_mode_matrix(aspec, (q - 1,) * len(edges))
-        assert np.array_equal(ah.worst_case_mode(aspec).w, worst.w)
+        assert np.array_equal(ah.worst_case_mode(aspec), worst)
         proj = ah.build_projector(aspec)
         probs = rng.random((len(edges), q))
         probs /= probs.sum(axis=1, keepdims=True)
@@ -273,7 +285,7 @@ class TestEdgeLayout:
                 array[0] = 1
         # a mode matrix is a writable copy that leaves the base intact
         base = aspec.base.copy()
-        ah.build_mode_matrix(aspec, (2,) * aspec.num_edges).w[0, 0] = 7.0
+        ah.build_mode_matrix(aspec, (2,) * aspec.num_edges)[0, 0] = 7.0
         assert np.array_equal(aspec.base, base)
 
     def test_no_edge_rederivation_per_mode(self, monkeypatch):
@@ -295,12 +307,14 @@ class TestEdgeLayout:
         assert len(calls) == first
 
     @pytest.mark.parametrize(
-        "delays", [(0, 0, 0), (0, 0, 0, 0, 0), (0, 2, 0, 0), (0, -1, 0, 0)],
-        ids=["short", "long", "q", "minus-one"],
+        "delays",
+        [(0, 0, 0), (0, 0, 0, 0, 0), (0, 2, 0, 0), (0, -1, 0, 0),
+         (0, 0.5, 0, 0)],
+        ids=["short", "long", "q", "minus-one", "fraction"],
     )
     def test_one_check_for_both_callers(self, delays):
         aspec = ah.AugmentedSpec(grid=exact_spec(4), buffer_len=2)
-        state = ah.init_state(np.zeros(4), 2)
+        state = init_state(np.zeros(4), 2)
         with pytest.raises(ValueError) as from_modes:
             ah.build_mode_matrix(aspec, delays)
         with pytest.raises(ValueError) as from_sim:
@@ -326,27 +340,27 @@ class TestProjector:
             proj.psi @ x0, [2.0, 3.5, 5.0, 2.0, 3.5, 5.0]
         )
 
-    def test_commutes_with_every_mode(self, aspec32):
+    def test_commutes_with_every_mode(self, aspec32, modes32):
         proj = ah.build_projector(aspec32)
-        for mode in ah.enumerate_modes(aspec32):
-            assert np.abs(proj.psi @ mode.w - proj.psi).max() < 1e-12
-            assert np.abs(mode.w @ proj.psi - proj.psi).max() < 1e-12
+        for mode in modes32:
+            assert np.abs(proj.psi @ mode - proj.psi).max() < 1e-12
+            assert np.abs(mode @ proj.psi - proj.psi).max() < 1e-12
 
 
 class TestDeflate:
-    def test_annihilates_common_eigenvectors(self, aspec32):
+    def test_annihilates_common_eigenvectors(self, aspec32, modes32):
         proj = ah.build_projector(aspec32)
-        for mode in ah.enumerate_modes(aspec32):
+        for mode in modes32:
             wt = ah.deflate(mode, proj)
             assert np.abs(wt @ proj.v1).max() < 1e-14
             assert np.abs(wt @ proj.v2).max() < 1e-14
             assert np.abs(proj.s1 @ wt).max() < 1e-14
             assert np.abs(proj.s2 @ wt).max() < 1e-14
 
-    def test_spectrum_replaces_units_with_zeros(self, aspec32):
+    def test_spectrum_replaces_units_with_zeros(self, aspec32, modes32):
         proj = ah.build_projector(aspec32)
-        w1 = ah.enumerate_modes(aspec32)[0]
-        before = np.sort(np.abs(np.linalg.eigvals(w1.w)))
+        w1 = modes32[0]
+        before = np.sort(np.abs(np.linalg.eigvals(w1)))
         after = np.sort(np.abs(np.linalg.eigvals(ah.deflate(w1, proj))))
         # the two unit eigenvalues become zeros; the rest is unchanged
         assert before[-1] == pytest.approx(1.0, abs=1e-12)
@@ -356,13 +370,13 @@ class TestDeflate:
         assert np.allclose(np.sort(survivors), kept, atol=1e-10)
         assert after[0] < 1e-10 and after[1] < 1e-10
 
-    def test_flags_non_stable_result(self, aspec32):
+    def test_flags_non_stable_result(self, aspec32, modes32):
         proj = ah.build_projector(aspec32)
         bad = ah.SteadyStateProjector(
             psi=np.zeros((6, 6)), v1=proj.v1, v2=proj.v2, s1=proj.s1, s2=proj.s2
         )
         with pytest.raises(ah.DeflationError):
-            ah.deflate(ah.enumerate_modes(aspec32)[0], bad)
+            ah.deflate(modes32[0], bad)
 
     def test_spectral_radius_of_large_non_normal_matrix(self):
         # highly non-normal: the norms of its powers grow long before
@@ -381,13 +395,11 @@ class TestExpectedMatrix:
             lam, ah.build_sync_matrix(aspec.grid) - proj.psi
         )
 
-    def test_uniform_average_of_four_modes(self, aspec32):
+    def test_uniform_average_of_four_modes(self, aspec32, modes32):
         proj = ah.build_projector(aspec32)
         dist = ah.SwitchingDistribution.uniform(aspec32)
         lam = ah.expected_matrix(aspec32, dist, proj)
-        avg = sum(
-            0.25 * (m.w - proj.psi) for m in ah.enumerate_modes(aspec32)
-        )
+        avg = sum(0.25 * (m - proj.psi) for m in modes32)
         assert np.abs(lam - avg).max() < 1e-15
 
     def test_enumerated_refuses_above_cap(self):
@@ -414,24 +426,22 @@ class TestExpectedMatrix:
 
 
 class TestEigenstructure:
-    def test_sync_mode_passes(self, aspec32):
+    def test_sync_mode_passes(self, aspec32, modes32):
         proj = ah.build_projector(aspec32)
-        report = ah.verify_eigenstructure(
-            ah.enumerate_modes(aspec32)[0], proj
-        )
+        report = ah.verify_eigenstructure(modes32[0], proj)
         assert report.passed
         assert report.top_moduli[2] < 1.0
 
     def test_q1_three_point_spectrum(self):
         aspec = ah.AugmentedSpec(grid=exact_spec(3), buffer_len=1)
         proj = ah.build_projector(aspec)
-        report = ah.verify_eigenstructure(ah.enumerate_modes(aspec)[0], proj)
+        report = ah.verify_eigenstructure(mode_stack(aspec)[0], proj)
         assert report.passed
         assert report.top_moduli == pytest.approx((1.0, 1.0, 0.0), abs=1e-12)
 
-    def test_all_four_modes_pass(self, aspec32):
+    def test_all_four_modes_pass(self, aspec32, modes32):
         proj = ah.build_projector(aspec32)
-        for mode in ah.enumerate_modes(aspec32):
+        for mode in modes32:
             report = ah.verify_eigenstructure(mode, proj)
             assert report.passed
             assert report.inf_norm == 1.0
@@ -443,10 +453,22 @@ class TestSwitchingDistribution:
             ah.SwitchingDistribution(np.array([[0.5, 0.4]]))
         with pytest.raises(ValueError):
             ah.SwitchingDistribution(np.array([[1.5, -0.5]]))
+        with pytest.raises(ValueError):
+            ah.SwitchingDistribution(np.array([[np.nan, np.nan]]))
 
     def test_mode_probability_uniform(self, aspec32):
         dist = ah.SwitchingDistribution.uniform(aspec32)
         assert ah.mode_probability((0, 1), dist) == 0.25
+
+    @pytest.mark.parametrize(
+        "delays", [(-1, 0), (2, 0), (1.7, 0), (np.nan, 0), [[0, 1], [1, -1]]],
+        ids=["minus-one", "q", "fraction", "nan", "block"],
+    )
+    def test_mode_probability_refuses_bad_delays(self, delays):
+        """A delay outside [0, q-1] is refused, not wrapped or truncated."""
+        dist = ah.SwitchingDistribution(np.array([[0.9, 0.1], [0.9, 0.1]]))
+        with pytest.raises(ValueError, match=r"integers in \[0, 1\]"):
+            ah.mode_probability(delays, dist)
 
     def test_mode_probability_q1(self):
         aspec = ah.AugmentedSpec(grid=exact_spec(4), buffer_len=1)
@@ -478,11 +500,11 @@ def test_mode_invariants_hold_for_random_patterns(n, q, seed):
     rng = np.random.default_rng(seed)
     delays = rng.integers(0, q, aspec.num_edges)
     mode = ah.build_mode_matrix(aspec, delays)
-    assert np.abs(mode.w).sum(axis=1).max() == 1.0
-    assert np.abs(mode.w @ proj.v1 - proj.v1).max() < 1e-12
-    assert np.abs(mode.w @ proj.v2 - proj.v2).max() < 1e-12
-    assert np.abs(proj.s1 @ mode.w - proj.s1).max() < 1e-12
-    assert np.abs(proj.s2 @ mode.w - proj.s2).max() < 1e-12
+    assert np.abs(mode).sum(axis=1).max() == 1.0
+    assert np.abs(mode @ proj.v1 - proj.v1).max() < 1e-12
+    assert np.abs(mode @ proj.v2 - proj.v2).max() < 1e-12
+    assert np.abs(proj.s1 @ mode - proj.s1).max() < 1e-12
+    assert np.abs(proj.s2 @ mode - proj.s2).max() < 1e-12
     # marginal stability of the augmented update
     x = rng.uniform(-1, 1, aspec.dim)
-    assert np.abs(mode.w @ x).max() <= np.abs(x).max() + 1e-12
+    assert np.abs(mode @ x).max() <= np.abs(x).max() + 1e-12
