@@ -145,10 +145,9 @@ def verify_mean_contraction(
     lambda_max(P) <= lambda_max(P_m), which keeps the worst-case rate
     applicable.
     """
-    lam = np.asarray(lam, dtype=float)
-    gram_top = float(np.linalg.eigvalsh(lam.T @ lam)[-1])
-    margin = gram_top - (1.0 - 1.0 / cert.lambda_max)
-    svals = scipy.linalg.svdvals(lam)
+    svals = scipy.linalg.svdvals(np.asarray(lam, dtype=float))
+    # lambda_max(Lambda' Lambda) is the top singular value squared
+    margin = float(svals[0]) ** 2 - (1.0 - 1.0 / cert.lambda_max)
     if margin <= 0:
         k_const = 1.0
         lambda_max_p = 1.0

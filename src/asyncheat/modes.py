@@ -274,22 +274,6 @@ def expected_matrix(
     return ew - proj.psi
 
 
-def enumerated_expected_matrix(
-    aspec: AugmentedSpec,
-    dist: SwitchingDistribution,
-    proj: SteadyStateProjector | None = None,
-    cap: int = 100_000,
-) -> np.ndarray:
-    """Lambda by brute-force enumeration; oracle for expected_matrix."""
-    if proj is None:
-        proj = build_projector(aspec)
-    lam = np.zeros((aspec.dim, aspec.dim))
-    for delays, w in mode_batches(aspec, cap):
-        pi = mode_probability(delays, dist)
-        lam += np.tensordot(pi, w, 1) - pi.sum() * proj.psi
-    return lam
-
-
 def mode_probability(delays, dist: SwitchingDistribution):
     """Product of per-edge delay probabilities along the last axis.
 

@@ -1,8 +1,9 @@
 """Independent oracles that the tests check the package against.
 
 None of this is on the CLI's path: a series Lyapunov solve for the direct
-solver, the Kronecker-lifted checks of the second-moment chain, and a
-single seeded run with its per-step delay sampler.
+solver, the Kronecker-lifted checks of the second-moment chain, Lambda by
+enumeration of every mode, and a single seeded run with its per-step delay
+sampler.
 """
 
 from __future__ import annotations
@@ -19,7 +20,14 @@ from asyncheat.analysis import (
     spectral_norm,
     tail_constants,
 )
-from asyncheat.modes import SwitchingDistribution
+from asyncheat.modes import (
+    AugmentedSpec,
+    SteadyStateProjector,
+    SwitchingDistribution,
+    build_projector,
+    mode_batches,
+    mode_probability,
+)
 from asyncheat.sim import (
     AsyncSimState,
     RunConfig,
@@ -119,6 +127,22 @@ def kron_norm_identity_check(w_tilde: np.ndarray, k: int) -> KronNormReport:
     lifted = spectral_norm(np.linalg.matrix_power(gamma, k))
     squared = spectral_norm(np.linalg.matrix_power(w_tilde, k)) ** 2
     return KronNormReport(lifted_norm=lifted, squared_norm=squared)
+
+
+def enumerated_expected_matrix(
+    aspec: AugmentedSpec,
+    dist: SwitchingDistribution,
+    proj: SteadyStateProjector | None = None,
+    cap: int = 100_000,
+) -> np.ndarray:
+    """Lambda by brute-force enumeration; oracle for expected_matrix."""
+    if proj is None:
+        proj = build_projector(aspec)
+    lam = np.zeros((aspec.dim, aspec.dim))
+    for delays, w in mode_batches(aspec, cap):
+        pi = mode_probability(delays, dist)
+        lam += np.tensordot(pi, w, 1) - pi.sum() * proj.psi
+    return lam
 
 
 def init_state(initial: np.ndarray, q: int) -> AsyncSimState:

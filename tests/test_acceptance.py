@@ -19,9 +19,9 @@ import pytest
 import asyncheat as ah
 from asyncheat.cli import _fmt
 from asyncheat.cli import main as cli_main
-from asyncheat.modes import enumerated_expected_matrix
 from conftest import exact_spec
 import oracles
+from oracles import enumerated_expected_matrix
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:

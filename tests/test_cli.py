@@ -181,6 +181,8 @@ class TestExitCodes:
         {"ensemble_size": 0},
         {"sweep_epsilons": [0.5, 0.0]},
         {"epsilons": [float("nan")]},
+        {"epsilons": [0.0]},
+        {"epsilons": [-1.0]},
         {"seed": -1},
         {"num_pes": "abc"},
         {"num_pes": None},
@@ -385,6 +387,26 @@ class TestVerify:
         assert main(["verify", "--config", path]) == EXIT_OK
         assert sizes and max(sizes) <= cli.modes._CHUNK_MODES
 
+    def test_failure_is_one_json_line(self, tmp_path, capsys, monkeypatch):
+        """A failed check exits 3 the way every command fails: one JSON
+        line on stderr, after verify's summary on stdout."""
+        from asyncheat import cli
+
+        real = cli.modes.expected_matrix
+        monkeypatch.setattr(cli.modes, "expected_matrix",
+                            lambda *args: real(*args) + 1e-9)
+        path = write_config(tmp_path)
+        assert main(["verify", "--config", path]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert "modes, Lambda diff 1.000e-09, probability sum" in captured.out
+        assert "all checks passed" not in captured.out
+        assert "FAIL:" not in captured.out + captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "numerical"
+        assert "factorized vs enumerated Lambda" in err["message"]
+
 
 class TestCompare:
     def test_artifacts_and_consistency(self, tmp_path):
@@ -455,12 +477,18 @@ class TestPipeline:
         count(cli.sim, "run_ensemble")
         count(cli.analysis, "tail_constants")
         count(cli.analysis, "solve_discrete_lyapunov")
+        count(cli.modes, "mode_batches")
+        count(cli.modes, "expected_matrix")
         path = write_config(tmp_path)
-        assert main(["simulate", "analyze", "compare", "--config", path,
-                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert main(["simulate", "analyze", "verify", "compare",
+                     "--config", path, "--out", str(tmp_path / "out")]
+                    ) == EXIT_OK
         assert calls["run_ensemble"] == 1
         assert calls["tail_constants"] == 1
         assert 1 <= calls["solve_discrete_lyapunov"] <= 2
+        # verify walks the modes once and reads analyze's Lambda
+        assert calls["mode_batches"] == 1
+        assert calls["expected_matrix"] == 1
 
     def test_problem_built_once(self, tmp_path, monkeypatch):
         """load_config builds the one RunConfig that every stage reads."""

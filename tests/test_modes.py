@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 import asyncheat as ah
 from asyncheat.grid import GridSpec
-from asyncheat.modes import enumerated_expected_matrix
 from conftest import exact_spec
-from oracles import init_state
+from oracles import enumerated_expected_matrix, init_state
 
 
 def paper_example_modes(r=0.5):
