@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .modes import spectral_radius
 
@@ -25,6 +24,7 @@ class HorizonExhaustedError(RuntimeError):
 
 def spectral_norm(m: np.ndarray) -> float:
     """Largest singular value."""
+    import scipy.linalg  # kept off the CLI's import path
     m = np.atleast_2d(np.asarray(m, dtype=float))
     return float(scipy.linalg.svdvals(m)[0])
 
@@ -66,6 +66,7 @@ def solve_discrete_lyapunov(w_tilde: np.ndarray) -> LyapunovCertificate:
         raise LyapunovError(
             f"spectral radius {rho} >= 1; Lyapunov equation has no PD solution"
         )
+    import scipy.linalg  # kept off the CLI's import path
     p = scipy.linalg.solve_discrete_lyapunov(
         w_tilde.T, np.eye(n), method="bilinear"
     )
@@ -145,6 +146,7 @@ def verify_mean_contraction(
     lambda_max(P) <= lambda_max(P_m), which keeps the worst-case rate
     applicable.
     """
+    import scipy.linalg  # kept off the CLI's import path
     svals = scipy.linalg.svdvals(np.asarray(lam, dtype=float))
     # lambda_max(Lambda' Lambda) is the top singular value squared
     margin = float(svals[0]) ** 2 - (1.0 - 1.0 / cert.lambda_max)

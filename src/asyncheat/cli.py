@@ -360,17 +360,23 @@ def cmd_analyze(pipe: Pipeline, outdir: str) -> None:
     )
 
 
+_SHOWN_MODES = 5  # delay patterns named per failing per-mode check
+
+
 def cmd_verify(pipe: Pipeline, outdir: str) -> None:
     aspec, dist, proj = pipe.aspec, pipe.problem.dist, pipe.proj
-    failures = []
+    # per-mode checks: the count of failing modes and the first few
+    checks = ("eigenstructure failed", "inf norm != 1")
+    counts, shown = dict.fromkeys(checks, 0), {check: [] for check in checks}
     prob_sum = 0.0
     lam_enum = np.zeros((aspec.dim, aspec.dim))
     for delays, w in modes.mode_batches(aspec, pipe.cfg.mode_cap):
         report = modes.verify_eigenstructure(w, proj)
-        failures += [f"eigenstructure failed for delays {tuple(d)}"
-                     for d in delays[~report.passed].tolist()]
-        failures += [f"inf norm != 1 for delays {tuple(d)}"
-                     for d in delays[report.inf_norm != 1.0].tolist()]
+        for check, bad in zip(checks, (~report.passed,
+                                       report.inf_norm != 1.0)):
+            counts[check] += int(bad.sum())
+            room = _SHOWN_MODES - len(shown[check])
+            shown[check] += delays[bad][:room].tolist()
         pi = modes.mode_probability(delays, dist)
         s = pi.sum()
         prob_sum += s
@@ -378,6 +384,11 @@ def cmd_verify(pipe: Pipeline, outdir: str) -> None:
         # would spin through the next chunk's eigvals (~65% more CPU)
         lam_enum += np.einsum("m,mij->ij", pi, w) - s * proj.psi
 
+    failures = [
+        f"{check} for {counts[check]} modes, first delays "
+        + ", ".join(str(tuple(d)) for d in shown[check])
+        for check in checks if counts[check]
+    ]
     lam_diff = float(np.max(np.abs(pipe.lam - lam_enum)))
     if lam_diff > 1e-12:
         failures.append(f"factorized vs enumerated Lambda differ by {lam_diff}")

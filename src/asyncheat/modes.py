@@ -172,7 +172,7 @@ def worst_case_mode(aspec: AugmentedSpec) -> np.ndarray:
     )
 
 
-_CHUNK_MODES = 4096  # modes per stacked chunk of mode_batches
+_CHUNK_MODES = 1024  # modes per stacked chunk of mode_batches
 
 
 def mode_batches(aspec: AugmentedSpec, cap: int):

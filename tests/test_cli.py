@@ -20,6 +20,9 @@ from asyncheat.cli import (
     main,
 )
 
+REPO = Path(__file__).resolve().parents[1]
+SMALL_VERIFY = "configs/small_verify.json"
+
 BASE_CONFIG = {
     "num_pes": 4,
     "dx": 1.0,
@@ -407,6 +410,36 @@ class TestVerify:
         assert err["error"] == "numerical"
         assert "factorized vs enumerated Lambda" in err["message"]
 
+    def test_failing_modes_are_counted_not_listed(self, tmp_path, capsys,
+                                                  monkeypatch):
+        """Every mode failing puts a count and the first five patterns,
+        gathered across chunks, on stderr, not one clause per mode."""
+        from dataclasses import replace
+
+        from asyncheat import cli
+
+        real = cli.modes.verify_eigenstructure
+
+        def failing(w, proj):
+            report = real(w, proj)
+            return replace(report, passed=np.zeros_like(report.passed))
+
+        monkeypatch.setattr(cli.modes, "verify_eigenstructure", failing)
+        monkeypatch.setattr(cli.modes, "_CHUNK_MODES", 2)
+        path = write_config(tmp_path, {"num_pes": 5, "buffer_len": 3})
+        assert main(["verify", "--config", path]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert "verify: 729 modes, Lambda diff" in captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and len(captured.err) < 2048
+        message = json.loads(lines[0])["message"]
+        assert message.startswith(
+            "eigenstructure failed for 729 modes, first delays "
+            "(0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 2), "
+            "(0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 1, 1)")
+        assert message.count("(") == 5
+        assert "inf norm" not in message
+
 
 class TestCompare:
     def test_artifacts_and_consistency(self, tmp_path):
@@ -539,16 +572,39 @@ class TestCliParsing:
             main(["simulate"])
 
 
-def test_import_does_not_load_scipy_sparse():
-    """scipy.sparse loads with the tail walk, not with the CLI module."""
+def _fresh_interpreter(code: str, *args: str) -> str:
+    """stdout of ``code`` run by a new interpreter from the repo root."""
     src = str(Path(asyncheat.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    code = "import sys, asyncheat.cli; print('scipy.sparse' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env, capture_output=True, text=True, check=True,
+        [sys.executable, "-c", code, *args], cwd=REPO, env=env,
+        capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout
+
+
+@pytest.mark.parametrize("module", ["scipy.sparse", "scipy.linalg"])
+def test_import_does_not_load_scipy(module):
+    """scipy loads with the first stage that uses it, not with the CLI
+    module or the config load (the code perfbench's setup_s times)."""
+    code = ("import sys, asyncheat.cli as cli; cli.load_config(sys.argv[1]); "
+            "print(sys.argv[2] in sys.modules)")
+    assert _fresh_interpreter(code, SMALL_VERIFY, module).strip() == "False"
+
+
+def test_verify_and_simulate_do_not_load_scipy_linalg(tmp_path):
+    """Only analyze's Lyapunov solve and SVDs load scipy.linalg."""
+    code = (
+        "import sys, asyncheat.cli as cli\n"
+        "config, out = sys.argv[1:]\n"
+        "assert cli.main(['verify', 'simulate', '--config', config,\n"
+        "                 '--out', out]) == 0\n"
+        "print('scipy.linalg loaded:', 'scipy.linalg' in sys.modules)\n"
+        "assert cli.main(['analyze', '--config', config, '--out', out]) == 0\n"
+    )
+    out = _fresh_interpreter(code, SMALL_VERIFY, str(tmp_path))
+    assert "scipy.linalg loaded: False" in out.splitlines()
+    assert (tmp_path / "certificate.json").exists()
