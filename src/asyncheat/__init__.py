@@ -10,7 +10,6 @@ from .grid import (
     build_sync_matrix,
     cos2_initial_condition,
     steady_state_profile,
-    sync_step,
 )
 from .modes import (
     AugmentedSpec,
@@ -27,7 +26,6 @@ from .modes import (
     worst_case_mode,
 )
 from .sim import (
-    AsyncSimState,
     EnsembleResult,
     RunConfig,
     Trajectory,
@@ -36,7 +34,6 @@ from .sim import (
     run_sync_reference,
 )
 from .analysis import (
-    ErrorBoundCurve,
     LyapunovCertificate,
     TailConstants,
     convergence_rate_bound,

@@ -92,16 +92,16 @@ def convergence_rate_bound(
     cert: LyapunovCertificate,
     e0_norm: float,
     steps: int,
-    k_const: float | None = None,
+    k_const: float,
 ) -> np.ndarray:
     """Per-step bound on ||e_bar(k)||: sqrt(K * rate**k) * ||e(0)||.
 
-    ``cert`` certifies the worst-case mode; ``k_const`` overrides the
-    prefactor (1 when the identity-weighted contraction check passed).
+    ``cert`` certifies the worst-case mode and gives the rate; ``k_const``
+    is the prefactor K (1 when the identity-weighted contraction check
+    passed).
     """
-    k = cert.k_const if k_const is None else float(k_const)
     ks = np.arange(steps + 1, dtype=float)
-    return np.sqrt(k * cert.rate**ks) * e0_norm
+    return np.sqrt(float(k_const) * cert.rate**ks) * e0_norm
 
 
 def exact_mean_curve(lam: np.ndarray, e0: np.ndarray, steps: int):
@@ -245,7 +245,7 @@ def _walk(w_tilde: np.ndarray, horizon: int):
     yield 0, np.eye(dim), dim
     if horizon < 1:
         return
-    ring[tail:] = scipy.sparse.csr_array(w_tilde) @ np.eye(dim)
+    ring[tail:] = w_tilde
     top = tail  # W~^k is ring[top:top + dim]
     yield 1, ring[tail:], dim
     for k in range(2, horizon + 1):
@@ -312,7 +312,11 @@ def tail_constants(w_tilde: np.ndarray, horizon: int = 100_000) -> TailConstants
     )
 
 
-def _top_singular_value(m: np.ndarray, u0=None, tol: float = 1e-12):
+# relative change of the power iteration's estimate taken as converged
+_SINGULAR_TOL = 1e-12
+
+
+def _top_singular_value(m: np.ndarray, u0=None):
     """Largest singular value by power iteration on M'M, warm-started.
 
     Falls back on the dense SVD for small matrices where it is cheap.
@@ -333,19 +337,12 @@ def _top_singular_value(m: np.ndarray, u0=None, tol: float = 1e-12):
             return 0.0, u
         s_new = float(np.sqrt(nw))
         u_new = w / nw
-        stable = stable + 1 if abs(s_new - s) <= tol * max(s_new, 1.0) else 0
+        converged = abs(s_new - s) <= _SINGULAR_TOL * max(s_new, 1.0)
+        stable = stable + 1 if converged else 0
         u, s = u_new, s_new
         if stable >= 2:
             break
     return s, u
-
-
-@dataclass(frozen=True)
-class ErrorBoundCurve:
-    """min(1, beta(k)) bounding Pr(||e(k)||^2 > epsilon) per step."""
-
-    epsilon: float
-    values: np.ndarray
 
 
 def error_probability_bound(
@@ -353,8 +350,8 @@ def error_probability_bound(
     e0: np.ndarray,
     epsilon: float,
     steps: int,
-) -> ErrorBoundCurve:
-    """Markov tail bound from the second-moment decay rate.
+) -> np.ndarray:
+    """min(1, beta(k)) bounding Pr(||e(k)||^2 > epsilon), for k = 0..steps.
 
     beta(k) = (sqrt(dim) / epsilon) * rate**(k/2) * ||e(0)||^2, with dim
     = len(e0), the augmented dimension (the vec(I) factor), and rate the
@@ -370,4 +367,4 @@ def error_probability_bound(
         * tc.second_moment_rate ** (ks / 2.0)
         * y0_norm
     )
-    return ErrorBoundCurve(epsilon=epsilon, values=np.minimum(1.0, beta))
+    return np.minimum(1.0, beta)

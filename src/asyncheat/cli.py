@@ -245,7 +245,7 @@ class Pipeline:
     def error_bound(self, eps: float, steps: int) -> np.ndarray:
         return analysis.error_probability_bound(
             self.certificate[2], self.e0, eps, steps
-        ).values
+        )
 
     @cached_property
     def error_bounds(self) -> list[np.ndarray]:
@@ -398,11 +398,12 @@ def cmd_verify(pipe: Pipeline, outdir: str) -> None:
     rng = np.random.default_rng(pipe.problem.seed)
     q, nn = aspec.buffer_len, aspec.grid.total_points
     for _ in range(20):
-        state = sim.AsyncSimState(history=rng.standard_normal((q, nn)))
+        history = rng.standard_normal((q, nn))
         delays = np.array(np.unravel_index(
             rng.integers(aspec.mode_count), (q,) * aspec.num_edges))
-        stepped = sim.async_step(state, delays, aspec).augmented
-        direct = modes.build_mode_matrix(aspec, delays) @ state.augmented
+        stepped = sim.async_step(history, delays, aspec).ravel()
+        direct = modes.mode_product(modes.build_mode_matrix(aspec, delays),
+                                    history.ravel(), q)
         if not np.array_equal(stepped, direct):
             failures.append("simulator/matrix mismatch for delays "
                             f"{tuple(delays.tolist())}")

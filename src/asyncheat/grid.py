@@ -84,16 +84,6 @@ def build_sync_matrix(spec: GridSpec) -> np.ndarray:
     return a
 
 
-def sync_step(a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One synchronous update U(k+1) = A U(k)."""
-    u = np.asarray(u, dtype=float)
-    if a.shape[1] != u.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix {a.shape} vs state {u.shape}"
-        )
-    return a @ u
-
-
 def cos2_initial_condition(spec: GridSpec) -> np.ndarray:
     """Initial profile u_i = cos^2(3*pi*i / (2*(Nn-1))), i = 1..Nn.
 

@@ -88,12 +88,6 @@ class AugmentedSpec:
         return base
 
     @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """Directed cross-PE dependency edges, 0-based global indices."""
-        rows, nbs = self.edge_arrays
-        return tuple(zip(rows.tolist(), nbs.tolist()))
-
-    @property
     def num_edges(self) -> int:
         return self.edge_arrays[0].size
 
@@ -163,6 +157,23 @@ def build_mode_matrix(aspec: AugmentedSpec, delays) -> np.ndarray:
     w = aspec.base.copy()
     w[rows, delays * aspec.grid.total_points + nbs] = aspec.grid.r
     return w
+
+
+def mode_product(w: np.ndarray, x: np.ndarray, q: int) -> np.ndarray:
+    """W @ x, each row's products summed in grid-position order.
+
+    A row of a mode matrix has at most one nonzero per grid position, so
+    the sum over the q blocks is exact; the sequential sum over positions
+    then gives (r*left + (1-2r)*u) + r*right at an interior row. That is
+    the simulator's sum, its first addition's operands swapped, which
+    floating-point addition allows, so the product is the simulator's
+    step bit for bit. A BLAS matrix-vector product may add a row's terms
+    in another order, and then agrees with it only at r = 1/2, where the
+    (1-2r)*u term is zero.
+    """
+    nn = len(x) // q
+    products = (w.reshape(-1, q, nn) * x.reshape(q, nn)).sum(axis=1)
+    return np.add.accumulate(products, axis=1)[:, -1]
 
 
 def worst_case_mode(aspec: AugmentedSpec) -> np.ndarray:
@@ -255,7 +266,7 @@ def deflate(w, proj: SteadyStateProjector) -> np.ndarray:
 def expected_matrix(
     aspec: AugmentedSpec,
     dist: SwitchingDistribution,
-    proj: SteadyStateProjector | None = None,
+    proj: SteadyStateProjector,
 ) -> np.ndarray:
     """Expected deflated mode Lambda = E[W] - psi, without enumeration.
 
@@ -265,8 +276,6 @@ def expected_matrix(
     """
     if dist.probs.shape != (aspec.num_edges, aspec.buffer_len):
         raise ValueError("distribution shape does not match aspec")
-    if proj is None:
-        proj = build_projector(aspec)
     rows, nbs = aspec.edge_arrays
     cols = np.arange(aspec.buffer_len) * aspec.grid.total_points
     ew = aspec.base.copy()

@@ -29,12 +29,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import (
-    BoundaryConditions,
-    build_sync_matrix,
-    steady_state_profile,
-    sync_step,
-)
+from .grid import BoundaryConditions, build_sync_matrix, steady_state_profile
 from .modes import AugmentedSpec, SwitchingDistribution
 
 _CHUNK_STEPS = 256  # delay pre-sampling granularity
@@ -83,23 +78,6 @@ class RunConfig:
         )
         if not all(e > 0 for e in self.epsilons):
             raise ValueError("epsilons must be positive")
-
-
-@dataclass(frozen=True)
-class AsyncSimState:
-    """Buffered history, newest first: history[d] = U(step - d)."""
-
-    history: np.ndarray
-    step: int = 0
-
-    @property
-    def augmented(self) -> np.ndarray:
-        """X(k) = [U(k); U(k-1); ...; U(k-q+1)]."""
-        return self.history.ravel()
-
-    @property
-    def newest(self) -> np.ndarray:
-        return self.history[0]
 
 
 def _index_dtype(entries: int) -> type:
@@ -200,19 +178,21 @@ def _count_delays(u: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> np.ndarray
 
 
 def async_step(
-    state: AsyncSimState, delays, aspec: AugmentedSpec
-) -> AsyncSimState:
+    history: np.ndarray, delays, aspec: AugmentedSpec
+) -> np.ndarray:
     """One buffered asynchronous update with the given delay pattern.
 
-    Equals multiplication of the augmented state by the corresponding
-    mode matrix, exactly.
+    ``history`` is the (q, Nn) buffer, newest first: history[d] = U(k - d),
+    so ``history.ravel()`` is the augmented state X(k). Returns the next
+    buffer. X(k+1) equals ``modes.mode_product`` of the delay pattern's
+    mode matrix and X(k), bit for bit.
     """
     delays = aspec.check_delays(delays)
     q = aspec.buffer_len
     ring = np.empty((q + 1, 1, aspec.grid.total_points))
-    ring[1:, 0] = state.history
+    ring[1:, 0] = history
     _advance(ring, 0, delays[None, :], _StencilPlan(aspec, 1, q + 1))
-    return AsyncSimState(history=ring[:q, 0], step=state.step + 1)
+    return ring[:q, 0]
 
 
 @dataclass(frozen=True)
@@ -240,9 +220,8 @@ class EnsembleResult:
     """
 
     num_runs: int
-    epsilons: tuple[float, ...]
     mean_sq_error: np.ndarray     # (steps+1,)
-    exceedance_table: np.ndarray  # (steps+1, len(epsilons))
+    exceedance_table: np.ndarray  # (steps+1, len(cfg.epsilons))
     max_inf_error: np.ndarray     # (steps+1,)
     norms_at: dict[int, np.ndarray]  # step -> (runs,) error norms
     mean_error: np.ndarray        # (steps+1, dim)
@@ -266,16 +245,6 @@ class EnsembleResult:
     def stderr_error(self) -> np.ndarray:
         """Componentwise standard error of the mean error vector."""
         return np.sqrt(self.var_error / self.num_runs)
-
-    def exceedance(self, epsilon: float) -> np.ndarray:
-        """Empirical Pr(||e(k)||^2 > epsilon) per step, for a configured
-        epsilon."""
-        if epsilon not in self.epsilons:
-            raise ValueError(
-                f"epsilon {epsilon!r} is not one of the configured "
-                f"{self.epsilons}"
-            )
-        return self.exceedance_table[:, self.epsilons.index(epsilon)]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -607,7 +576,6 @@ def run_ensemble(cfg: RunConfig, num_runs: int, workers: int = 1,
     sq_norms /= num_runs
     return EnsembleResult(
         num_runs=num_runs,
-        epsilons=cfg.epsilons,
         mean_sq_error=_read_only(sq_norms),
         exceedance_table=_read_only(counts / num_runs),
         max_inf_error=_read_only(_window_max(peaks, q)),
@@ -634,7 +602,7 @@ def run_sync_reference(cfg: RunConfig, snapshot_steps=()) -> Trajectory:
         if k in snapshot_steps:
             snapshots[k] = u.copy()
         if k < steps:
-            u = sync_step(a, u)
+            u = a @ u
     return Trajectory(
         error_norms=error_norms, inf_norms=inf_norms, snapshots=snapshots
     )

@@ -29,7 +29,6 @@ from asyncheat.modes import (
     mode_probability,
 )
 from asyncheat.sim import (
-    AsyncSimState,
     RunConfig,
     Trajectory,
     _count_delays,
@@ -145,10 +144,11 @@ def enumerated_expected_matrix(
     return lam
 
 
-def init_state(initial: np.ndarray, q: int) -> AsyncSimState:
-    """Prime all q buffers with the initial grid state."""
+def init_state(initial: np.ndarray, q: int) -> np.ndarray:
+    """The (q, Nn) history with all q buffers primed with the initial
+    grid state."""
     initial = np.asarray(initial, dtype=float)
-    return AsyncSimState(history=np.tile(initial, (q, 1)), step=0)
+    return np.tile(initial, (q, 1))
 
 
 def sample_delays(rng: np.random.Generator, dist: SwitchingDistribution) -> np.ndarray:

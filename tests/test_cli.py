@@ -373,6 +373,39 @@ class TestVerify:
         path = write_config(tmp_path, {"delay_probs": [0.7, 0.3]})
         assert main(["verify", "--config", path]) == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"num_pes": 6, "buffer_len": 3, "dt": dt} for dt in (0.4, 0.3, 0.25)]
+        + [{"num_pes": 1, "points_per_pe": 5, "buffer_len": 2, "dt": 0.4}],
+        ids=["N6-q3-dt0.4", "N6-q3-dt0.3", "N6-q3-dt0.25", "1x5-q2-dt0.4"],
+    )
+    def test_simulator_check_passes_below_r_one_half(self, tmp_path,
+                                                     overrides):
+        """At r != 1/2 a stencil row has three terms, whose sum depends on
+        their order: the simulator is checked against the mode product
+        summed in grid-position order, not against a BLAS product."""
+        path = write_config(tmp_path, overrides)
+        assert main(["verify", "--config", path]) == EXIT_OK
+
+    @pytest.mark.parametrize("dt", [0.5, 0.4])
+    def test_simulator_off_by_one_ulp_exits_3(self, tmp_path, capsys,
+                                              monkeypatch, dt):
+        from asyncheat import cli
+
+        real = cli.sim.async_step
+
+        def perturbed(history, delays, aspec):
+            stepped = real(history, delays, aspec)
+            stepped[0, 1] = np.nextafter(stepped[0, 1], np.inf)
+            return stepped
+
+        monkeypatch.setattr(cli.sim, "async_step", perturbed)
+        path = write_config(tmp_path, {"num_pes": 6, "buffer_len": 3,
+                                       "dt": dt})
+        assert main(["verify", "--config", path]) == EXIT_NUMERICAL
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"].startswith("simulator/matrix mismatch")
+
     def test_enumerates_modes_once(self, tmp_path, monkeypatch):
         """verify holds no mode list: it streams bounded chunks."""
         from asyncheat import cli
