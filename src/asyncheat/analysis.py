@@ -23,10 +23,9 @@ class HorizonExhaustedError(RuntimeError):
 
 
 def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value."""
-    import scipy.linalg  # kept off the CLI's import path
+    """Largest singular value, from numpy's dense SVD."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    return float(scipy.linalg.svdvals(m)[0])
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 @dataclass(frozen=True)
@@ -51,13 +50,20 @@ class LyapunovCertificate:
         return self.lambda_max / self.lambda_min
 
 
+# the Smith iteration stops once an increment's Frobenius norm is below
+# this fraction of P's, or fails after this many doublings (W~^(2^64))
+_SMITH_TOL = 1e-17
+_SMITH_DOUBLINGS = 64
+
+
 def solve_discrete_lyapunov(w_tilde: np.ndarray) -> LyapunovCertificate:
     """Certificate for a strictly stable deflated mode.
 
-    Solves W~' P W~ - P = -I with scipy's bilinear method (a Cayley
-    transform to a continuous Lyapunov equation, solved Bartels-Stewart
-    style) at every dimension, and validates the residual and positive
-    definiteness.
+    Solves W~' P W~ - P = -I by squared Smith iteration: P = sum_k
+    (W~')^k W~^k, summed in doublings P <- P + A_j' P A_j, A_(j+1) = A_j^2
+    from P = I and A_0 = W~, until an increment is negligible. P is I plus
+    a PSD sum, so lambda_min(P) - 1 >= 0 reads the solver's error. The
+    residual and positive definiteness are then validated.
     """
     w_tilde = np.asarray(w_tilde, dtype=float)
     n = w_tilde.shape[0]
@@ -66,10 +72,24 @@ def solve_discrete_lyapunov(w_tilde: np.ndarray) -> LyapunovCertificate:
         raise LyapunovError(
             f"spectral radius {rho} >= 1; Lyapunov equation has no PD solution"
         )
-    import scipy.linalg  # kept off the CLI's import path
-    p = scipy.linalg.solve_discrete_lyapunov(
-        w_tilde.T, np.eye(n), method="bilinear"
-    )
+    p = np.eye(n)
+    a = w_tilde
+    with np.errstate(all="ignore"):  # overflow is refused below
+        for _ in range(_SMITH_DOUBLINGS):
+            increment = a.T @ p @ a
+            p += increment
+            size = np.linalg.norm(p)
+            # an inf or nan in A_j or P, or an overflowing norm, ends here
+            if not np.isfinite(size):
+                raise LyapunovError("Smith iteration overflowed")
+            if np.linalg.norm(increment) <= _SMITH_TOL * size:
+                break
+            a = a @ a
+        else:
+            raise LyapunovError(
+                f"Smith iteration did not converge in {_SMITH_DOUBLINGS} "
+                "doublings"
+            )
     p = 0.5 * (p + p.T)
     eigs = np.linalg.eigvalsh(p)
     residual = float(
@@ -78,7 +98,7 @@ def solve_discrete_lyapunov(w_tilde: np.ndarray) -> LyapunovCertificate:
     )
     if eigs[0] <= 0:
         raise LyapunovError("solution not positive definite")
-    if residual > 1e-8:
+    if not residual <= 1e-8:  # a nan residual fails too
         raise LyapunovError(f"relative residual {residual} exceeds 1e-8")
     return LyapunovCertificate(
         p=p,
@@ -146,8 +166,7 @@ def verify_mean_contraction(
     lambda_max(P) <= lambda_max(P_m), which keeps the worst-case rate
     applicable.
     """
-    import scipy.linalg  # kept off the CLI's import path
-    svals = scipy.linalg.svdvals(np.asarray(lam, dtype=float))
+    svals = np.linalg.svd(np.asarray(lam, dtype=float), compute_uv=False)
     # lambda_max(Lambda' Lambda) is the top singular value squared
     margin = float(svals[0]) ** 2 - (1.0 - 1.0 / cert.lambda_max)
     if margin <= 0:

@@ -1,7 +1,8 @@
 """Independent oracles that the tests check the package against.
 
-None of this is on the CLI's path: a series Lyapunov solve for the direct
-solver, the Kronecker-lifted checks of the second-moment chain, Lambda by
+None of this is on the CLI's path: three Lyapunov solves for the package's
+Smith solver (a series sum, scipy's bilinear solve and a dense Kronecker
+solve), the Kronecker-lifted checks of the second-moment chain, Lambda by
 enumeration of every mode, and a single seeded run with its per-step delay
 sampler.
 """
@@ -56,6 +57,35 @@ def lyapunov_series(w_tilde: np.ndarray, tol: float = 1e-14) -> np.ndarray:
     else:
         raise LyapunovError("series accumulation did not converge")
     return p
+
+
+def lyapunov_bilinear(w_tilde: np.ndarray) -> np.ndarray:
+    """P solving W~' P W~ - P = -I by scipy's bilinear method: a Cayley
+    transform to a continuous Lyapunov equation, solved Bartels-Stewart
+    style. A direct solver that shares no step with squared Smith."""
+    import scipy.linalg
+
+    w_tilde = np.asarray(w_tilde, dtype=float)
+    return scipy.linalg.solve_discrete_lyapunov(
+        w_tilde.T, np.eye(w_tilde.shape[0]), method="bilinear"
+    )
+
+
+# the largest n whose n^2 x n^2 Kronecker system the dense solve builds
+_KRONECKER_DIM_GUARD = 30
+
+
+def lyapunov_kronecker(w_tilde: np.ndarray) -> np.ndarray:
+    """P solving (I - W~' (x) W~') vec P = vec I, by one dense LU solve."""
+    w_tilde = np.asarray(w_tilde, dtype=float)
+    n = w_tilde.shape[0]
+    if n > _KRONECKER_DIM_GUARD:
+        raise ValueError(
+            f"dimension {n} exceeds guard {_KRONECKER_DIM_GUARD}"
+        )
+    # row-major vec: vec(W~' P W~) = (W~' (x) W~') vec P
+    system = np.eye(n * n) - np.kron(w_tilde.T, w_tilde.T)
+    return np.linalg.solve(system, np.eye(n).reshape(-1)).reshape(n, n)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,79 @@ class TestSolveDiscreteLyapunov:
             cert = ah.solve_discrete_lyapunov(m)
             series = oracles.lyapunov_series(m)
             assert np.allclose(cert.p, series, rtol=1e-9, atol=1e-9)
+
+    @staticmethod
+    def assert_matches_references(m, rtol):
+        """P and lambda_max(P) agree with scipy's bilinear solve and, where
+        its guard allows, with the dense Kronecker solve."""
+        cert = ah.solve_discrete_lyapunov(m)
+        refs = [oracles.lyapunov_bilinear(m)]
+        if len(m) <= oracles._KRONECKER_DIM_GUARD:
+            refs.append(oracles.lyapunov_kronecker(m))
+        for ref in refs:
+            ref = 0.5 * (ref + ref.T)
+            gap = np.linalg.norm(cert.p - ref) / np.linalg.norm(ref)
+            assert gap <= rtol
+            assert cert.lambda_max == pytest.approx(
+                np.linalg.eigvalsh(ref)[-1], rel=rtol
+            )
+
+    def test_matches_direct_references_random_stable(self):
+        for n, rho, seed in [(5, 0.5, 0), (12, 0.9, 1), (30, 0.999, 2),
+                             (60, 0.95, 3)]:
+            self.assert_matches_references(random_stable(n, rho, seed), 1e-10)
+
+    def test_large_transient_closed_form(self):
+        # W~^k = [[a^k, k a^(k-1) b], [0, a^k]], and its series sums in
+        # closed form; lambda_max(P) = 2.5e23, ||W~^k|| peaks near 3.7e8
+        a, b = 0.999999, 1e3
+        g = (1.0 - a) * (1.0 + a)  # 1 - a^2 without cancellation
+        p12 = b * a / g**2
+        want = np.array([[1.0 / g, p12],
+                         [p12, b * b * (1.0 + a * a) / g**3 + 1.0 / g]])
+        m = np.array([[a, b], [0.0, a]])
+        cert = ah.solve_discrete_lyapunov(m)
+        assert np.allclose(cert.p, want, rtol=1e-11, atol=0)
+        self.assert_matches_references(m, 1e-9)
+
+    def test_matches_direct_references_large_transients(self):
+        # triangular and rotated-triangular 6x6 with strictly upper
+        # entries of scale 3: lambda_max(P) from 1.4e3 to 5.1e6; the
+        # Kronecker solve's error grows with it
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            m = (np.triu(3.0 * rng.standard_normal((6, 6)), 1)
+                 + np.diag(rng.uniform(-0.95, 0.95, 6)))
+            rot, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+            self.assert_matches_references(m, 1e-8)
+            self.assert_matches_references(rot @ m @ rot.T, 1e-8)
+
+    def test_matches_direct_references_paper_modes(self):
+        for num_pes, q, points in [(3, 2, 1), (6, 3, 1), (4, 3, 2),
+                                   (10, 3, 1)]:
+            self.assert_matches_references(
+                paper_worst_deflated(num_pes, q, points), 1e-10
+            )
+
+    def test_flagship_accuracy(self, paper_certificates):
+        # P = I + a PSD sum, so lambda_min(P) >= 1 in exact arithmetic
+        cert = paper_certificates[0]
+        assert cert.residual <= 1e-14
+        assert cert.lambda_min - 1.0 >= -1e-11
+
+    def test_overflow_raises(self):
+        # spectral radius 0.5, but W~'W~ overflows at the first doubling
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LyapunovError, match="overflow"):
+                ah.solve_discrete_lyapunov(np.array([[0.5, 1e200],
+                                                     [0.0, 0.5]]))
+
+    def test_doubling_cap_raises(self, monkeypatch):
+        # 0.99^(2^3) is far from negligible after three doublings
+        monkeypatch.setattr(analysis, "_SMITH_DOUBLINGS", 3)
+        with pytest.raises(LyapunovError, match="3 doublings"):
+            ah.solve_discrete_lyapunov(0.99 * np.eye(2))
 
     def test_rejects_unstable(self):
         with pytest.raises(LyapunovError):

@@ -629,7 +629,8 @@ def test_import_does_not_load_scipy(module):
 
 
 def test_verify_and_simulate_do_not_load_scipy_linalg(tmp_path):
-    """Only analyze's Lyapunov solve and SVDs load scipy.linalg."""
+    """verify and simulate load no scipy.linalg, and analyze still runs
+    after them in the same interpreter."""
     code = (
         "import sys, asyncheat.cli as cli\n"
         "config, out = sys.argv[1:]\n"
@@ -637,6 +638,21 @@ def test_verify_and_simulate_do_not_load_scipy_linalg(tmp_path):
         "                 '--out', out]) == 0\n"
         "print('scipy.linalg loaded:', 'scipy.linalg' in sys.modules)\n"
         "assert cli.main(['analyze', '--config', config, '--out', out]) == 0\n"
+    )
+    out = _fresh_interpreter(code, SMALL_VERIFY, str(tmp_path))
+    assert "scipy.linalg loaded: False" in out.splitlines()
+    assert (tmp_path / "certificate.json").exists()
+
+
+def test_no_command_loads_scipy_linalg(tmp_path):
+    """The whole pipeline runs on numpy's linear algebra: the Lyapunov
+    solves are squared Smith, and the SVDs numpy's."""
+    code = (
+        "import sys, asyncheat.cli as cli\n"
+        "config, out = sys.argv[1:]\n"
+        "assert cli.main(['simulate', 'analyze', 'compare', 'verify',\n"
+        "                 '--config', config, '--out', out]) == 0\n"
+        "print('scipy.linalg loaded:', 'scipy.linalg' in sys.modules)\n"
     )
     out = _fresh_interpreter(code, SMALL_VERIFY, str(tmp_path))
     assert "scipy.linalg loaded: False" in out.splitlines()
