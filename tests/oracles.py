@@ -44,7 +44,9 @@ _LIFTED_DIM_GUARD = 2500
 def lyapunov_series(w_tilde: np.ndarray, tol: float = 1e-14) -> np.ndarray:
     """P = sum_k (W~')^k (W~)^k by squared (Smith) iteration.
 
-    Independent of the direct solver; used as its oracle.
+    The package solver's own algorithm, written apart from it: it checks
+    that solver's bookkeeping, not its method. ``lyapunov_bilinear`` is
+    the independent oracle.
     """
     p = np.eye(w_tilde.shape[0])
     m = np.asarray(w_tilde, dtype=float)

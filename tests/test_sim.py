@@ -1,6 +1,10 @@
+import os
+import platform
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,13 +152,19 @@ class TestTrajectory:
             x = mode_product(ah.build_mode_matrix(cfg.aspec, delays), x, 2)
             assert np.array_equal(state.ravel(), x)
 
-    def test_q1_equals_sync_reference(self):
-        cfg = make_config(num_pes=8, q=1, steps=200)
-        traj = run_trajectory(cfg, snapshot_steps=(200,))
-        sync = ah.run_sync_reference(cfg, snapshot_steps=(200,))
+    @pytest.mark.parametrize("r", [0.5, 0.4, 0.3])
+    def test_q1_equals_sync_reference(self, r):
+        """The synchronous reference is the simulator at q = 1, bit for
+        bit at every r: off r = 1/2 a stencil row's three terms make the
+        sum order matter."""
+        cfg = make_config(num_pes=8, q=1, steps=200, r=r)
+        steps = range(201)
+        traj = run_trajectory(cfg, snapshot_steps=steps)
+        sync = ah.run_sync_reference(cfg, snapshot_steps=steps)
         # with q = 1 the augmented error is the grid error; states are
         # bit-identical, the norm reduction path differs by <= 2 ulp
-        assert np.array_equal(traj.snapshots[200], sync.snapshots[200])
+        for k in steps:
+            assert np.array_equal(traj.snapshots[k], sync.snapshots[k])
         assert np.allclose(traj.error_norms, sync.error_norms, rtol=1e-15, atol=0)
         assert np.array_equal(traj.inf_norms, sync.inf_norms)
 
@@ -853,12 +863,87 @@ class TestBlockZeroViews:
 
 
 class TestSyncReference:
-    def test_error_matches_matrix_powers(self):
-        cfg = make_config(num_pes=6, q=2, steps=30)
+    @pytest.mark.parametrize("r", [0.5, 0.4])
+    def test_error_matches_matrix_powers(self, r):
+        """Each row of A summed in grid-position order, as the simulator
+        sums it."""
+        cfg = make_config(num_pes=6, q=2, steps=30, r=r)
         traj = ah.run_sync_reference(cfg)
         a = ah.build_sync_matrix(cfg.aspec.grid)
         ramp = ah.steady_state_profile(cfg.aspec.grid, cfg.bc)
         u = cfg.initial.copy()
         for k in range(31):
             assert traj.error_norms[k] == np.linalg.norm(u - ramp)
-            u = a @ u
+            u = mode_product(a, u, 1)
+
+
+# the sync reference at N=100, r = 0.4 under one OpenBLAS kernel: the
+# sha256 of its states, of its inf norms and of its error norms
+_KERNEL_RUN = """
+import hashlib
+import numpy as np
+import asyncheat as ah
+steps = 3000
+spec = ah.GridSpec(num_pes=100, points_per_pe=1, dx=1.0, dt=0.4, alpha=1.0)
+aspec = ah.AugmentedSpec(grid=spec, buffer_len=1)
+cfg = ah.RunConfig(
+    aspec=aspec, dist=ah.SwitchingDistribution.uniform(aspec),
+    initial=ah.cos2_initial_condition(spec),
+    bc=ah.BoundaryConditions(1.0, 0.0), steps=steps, seed=0)
+sync = ah.run_sync_reference(cfg, snapshot_steps=range(steps + 1))
+states = np.stack([sync.snapshots[k] for k in range(steps + 1)])
+for a in (states, sync.inf_norms, sync.error_norms):
+    print(hashlib.sha256(a.tobytes()).hexdigest())
+"""
+
+# kernels that every x86-64 CPU runs, and the one OpenBLAS picks itself
+_CORETYPES = ("Prescott", "Nehalem", None)
+
+
+def _openblas_dynamic_arch() -> bool:
+    """Whether numpy reports an OpenBLAS that picks its kernels at run
+    time, the only kind that reads OPENBLAS_CORETYPE."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 reports no dicts
+        return False
+    return ("openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+@pytest.fixture(scope="module")
+def kernel_digests():
+    """(states, inf norms, error norms) digests under each of
+    ``_CORETYPES``, each from a fresh interpreter."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("OPENBLAS_CORETYPE names x86-64 kernels")
+    if not _openblas_dynamic_arch():
+        pytest.skip("numpy reports no DYNAMIC_ARCH OpenBLAS")
+    src = str(Path(ah.__file__).resolve().parents[1])
+    digests = {}
+    for coretype in _CORETYPES:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        run = subprocess.run([sys.executable, "-c", _KERNEL_RUN], env=env,
+                             capture_output=True, text=True, check=True)
+        digests[coretype] = tuple(run.stdout.split())
+    return digests
+
+
+def test_sync_states_do_not_depend_on_the_blas_kernel(kernel_digests):
+    """The sync states and inf norms have the same bytes under every
+    OpenBLAS kernel: no BLAS call computes them."""
+    assert len({d[:2] for d in kernel_digests.values()}) == 1
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the sync error norm is np.linalg.norm, a BLAS ddot whose kernels "
+    "add in different orders; a BLAS-free norm changes the pinned "
+    "sync_trajectory.csv goldens (the open half of ROADMAP item 25)"))
+def test_sync_error_norms_do_not_depend_on_the_blas_kernel(kernel_digests):
+    assert len({d[2] for d in kernel_digests.values()}) == 1
