@@ -13,7 +13,6 @@ from .grid import (
 )
 from .modes import (
     AugmentedSpec,
-    DeflationError,
     ModeCountError,
     SteadyStateProjector,
     SwitchingDistribution,

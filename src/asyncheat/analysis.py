@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import spectral_radius
-
 
 class LyapunovError(RuntimeError):
     """Discrete Lyapunov solve failed (unstable input or bad residual)."""
@@ -20,6 +18,11 @@ class LyapunovError(RuntimeError):
 
 class HorizonExhaustedError(RuntimeError):
     """Matrix powers never dropped below norm 1 within the horizon."""
+
+
+def spectral_radius(m: np.ndarray) -> float:
+    """Spectral radius from the dense eigensolver, at every dimension."""
+    return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -58,6 +61,12 @@ _SMITH_DOUBLINGS = 64
 
 def solve_discrete_lyapunov(w_tilde: np.ndarray) -> LyapunovCertificate:
     """Certificate for a strictly stable deflated mode.
+
+    This is W~'s one stability gate. A positive definite P exists
+    exactly when rho(W~) < 1, so a floating-point rho >= 1 is refused
+    first; an input past that check must still pass the Smith,
+    positive-definiteness and residual checks. Every refusal raises
+    ``LyapunovError``.
 
     Solves W~' P W~ - P = -I by squared Smith iteration: P = sum_k
     (W~')^k W~^k, summed in doublings P <- P + A_j' P A_j, A_(j+1) = A_j^2

@@ -19,7 +19,6 @@ Exit codes: 0 success, 2 config error, 3 numerical-verification failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -258,26 +257,29 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(outdir: str, name: str, header, rows) -> None:
+def _write_csv(outdir: str, name: str, header, *columns) -> None:
+    """Write the table whose columns are ``columns``, one row per index.
+
+    An integer column prints by ``str`` and any other by ``_fmt``. No
+    cell holds a comma, quote or newline, so a row is its cells joined by
+    commas; the rows are zipped lazily.
+    """
+    cells = [
+        map(str if c.dtype.kind in "iu" else _fmt, c.tolist())
+        for c in map(np.asarray, columns)
+    ]
     with open(os.path.join(outdir, name), "w", encoding="utf-8",
               newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
-def _step_rows(steps: int, *columns):
-    """Rows ``[k, column[k]...]`` for k = 0..steps."""
-    return ([k, *(_fmt(c[k]) for c in columns)] for k in range(steps + 1))
-
-
-def _eps_rows(steps: int, epsilons, *curves):
-    """Rows ``[k, eps_j, curve[j][k]...]``, epsilon-major."""
-    return (
-        [k, _fmt(eps), *(_fmt(c[j][k]) for c in curves)]
-        for j, eps in enumerate(epsilons)
-        for k in range(steps + 1)
-    )
+def _eps_major(steps: int, epsilons, *curves):
+    """The columns (step, epsilon, *curves) of an epsilon-major table;
+    ``curve[j]`` is a curve over k = 0..steps at ``epsilons[j]``."""
+    return (np.tile(np.arange(steps + 1), len(epsilons)),
+            np.repeat(epsilons, steps + 1),
+            *(np.ravel(c) for c in curves))
 
 
 _COMPARE_HEADER = ["step", "epsilon", "empirical_probability",
@@ -288,27 +290,25 @@ def cmd_simulate(pipe: Pipeline, outdir: str) -> None:
     steps, sync, ens = pipe.problem.steps, pipe.sync, pipe.ensemble
     _write_csv(outdir, "sync_trajectory.csv",
                ["step", "error_norm", "inf_error"],
-               _step_rows(steps, sync.error_norms, sync.inf_norms))
+               range(steps + 1), sync.error_norms, sync.inf_norms)
     if sync.snapshots:
-        _write_csv(
-            outdir, "sync_snapshots.csv", ["step", "point", "value"],
-            (
-                [k, i + 1, _fmt(v)]
-                for k in sorted(sync.snapshots)
-                for i, v in enumerate(sync.snapshots[k])
-            ),
-        )
+        keys = sorted(sync.snapshots)
+        values = np.array([sync.snapshots[k] for k in keys])
+        points = values.shape[1]
+        _write_csv(outdir, "sync_snapshots.csv", ["step", "point", "value"],
+                   np.repeat(keys, points),
+                   np.tile(np.arange(1, points + 1), len(keys)),
+                   values.ravel())
     mean_norm = ens.mean_error_norm
     _write_csv(
         outdir, "async_ensemble.csv",
         ["step", "mean_error_norm", "mean_sq_error", "max_inf_error"],
-        _step_rows(steps, mean_norm, ens.mean_sq_error,
-                   ens.max_inf_error),
+        range(steps + 1), mean_norm, ens.mean_sq_error, ens.max_inf_error,
     )
     _write_csv(outdir, "exceedance.csv",
                ["step", "epsilon", "empirical_probability"],
-               _eps_rows(steps, pipe.problem.epsilons,
-                         ens.exceedance_table.T))
+               *_eps_major(steps, pipe.problem.epsilons,
+                           ens.exceedance_table.T))
     print(
         f"simulate: {pipe.cfg.ensemble_size} runs x {steps} steps, "
         f"final mean error norm {mean_norm[-1]:.3e}"
@@ -330,9 +330,10 @@ def cmd_analyze(pipe: Pipeline, outdir: str) -> None:
         cert, e0_norm, problem.steps, k_const=contraction.k_const
     )
     _write_csv(outdir, "rate_bound.csv", ["step", "mean_error_bound"],
-               _step_rows(problem.steps, bound))
+               range(problem.steps + 1), bound)
     _write_csv(outdir, "prob_bound.csv", ["step", "epsilon", "bound"],
-               _eps_rows(problem.steps, problem.epsilons, pipe.error_bounds))
+               *_eps_major(problem.steps, problem.epsilons,
+                           pipe.error_bounds))
     certificate = {
         "dim": pipe.aspec.dim,
         "lambda_max_p_m": cert.lambda_max,
@@ -421,20 +422,18 @@ def cmd_compare(pipe: Pipeline, outdir: str) -> None:
     mean_sq = ens.mean_sq_error
     _write_csv(
         outdir, "comparison.csv", _COMPARE_HEADER,
-        _eps_rows(pipe.problem.steps, epsilons, ens.exceedance_table.T,
-                  [np.minimum(1.0, mean_sq / eps) for eps in epsilons],
-                  pipe.error_bounds),
+        *_eps_major(pipe.problem.steps, epsilons, ens.exceedance_table.T,
+                    [np.minimum(1.0, mean_sq / eps) for eps in epsilons],
+                    pipe.error_bounds),
     )
-    k_fix = pipe.cfg.sweep_step
+    k_fix, sweep = pipe.cfg.sweep_step, pipe.cfg.sweep_epsilons
     sq_norms = ens.norms_at[k_fix] ** 2
     _write_csv(
         outdir, "comparison_sweep.csv", _COMPARE_HEADER,
-        (
-            [k_fix, _fmt(eps), _fmt((sq_norms > eps).mean()),
-             _fmt(min(1.0, mean_sq[k_fix] / eps)),
-             _fmt(pipe.error_bound(eps, k_fix)[k_fix])]
-            for eps in pipe.cfg.sweep_epsilons
-        ),
+        np.full(len(sweep), k_fix), sweep,
+        [(sq_norms > eps).mean() for eps in sweep],
+        [min(1.0, mean_sq[k_fix] / eps) for eps in sweep],
+        [pipe.error_bound(eps, k_fix)[k_fix] for eps in sweep],
     )
     print(f"compare: wrote comparison curves for {len(epsilons)} epsilons "
           f"and a sweep at step {k_fix}")
@@ -495,7 +494,6 @@ def main(argv=None) -> int:
     except (
         analysis.LyapunovError,
         analysis.HorizonExhaustedError,
-        modes.DeflationError,
         VerificationFailure,
     ) as exc:
         return _error("numerical", exc, EXIT_NUMERICAL)

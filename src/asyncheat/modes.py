@@ -20,10 +20,6 @@ class ModeCountError(ValueError):
     """Mode enumeration refused: too many modes."""
 
 
-class DeflationError(RuntimeError):
-    """Deflated mode matrix is not strictly stable (construction bug)."""
-
-
 def _delay_values(delays, q: int) -> np.ndarray:
     """``delays``, of any shape, as an intp array of integers in [0, q-1].
 
@@ -245,22 +241,14 @@ def build_projector(aspec: AugmentedSpec) -> SteadyStateProjector:
     return SteadyStateProjector(psi=psi, v1=v1, v2=v2, s1=s1, s2=s2)
 
 
-def spectral_radius(m: np.ndarray) -> float:
-    """Spectral radius from the dense eigensolver, at every dimension."""
-    return float(np.max(np.abs(np.linalg.eigvals(m))))
-
-
 def deflate(w, proj: SteadyStateProjector) -> np.ndarray:
     """Remove the shared unit-eigenvalue subspace: W_tilde = W - psi.
 
-    Raises DeflationError if the result is not strictly stable, which
-    indicates a construction bug upstream.
+    A subtraction only: whether W_tilde is strictly stable is decided
+    once, by ``analysis.solve_discrete_lyapunov``, which refuses it
+    otherwise.
     """
-    wt = np.asarray(w, dtype=float) - proj.psi
-    rho = spectral_radius(wt)
-    if rho >= 1.0 - 1e-12:
-        raise DeflationError(f"deflated matrix has spectral radius {rho}")
-    return wt
+    return np.asarray(w, dtype=float) - proj.psi
 
 
 def expected_matrix(
@@ -311,12 +299,12 @@ class EigenstructureReport:
 
 
 def verify_eigenstructure(
-    w, proj: SteadyStateProjector, tol: float = 1e-10
+    w, proj: SteadyStateProjector
 ) -> EigenstructureReport:
     """Check the two-unit-eigenvalue claim for one mode matrix or a stack.
 
     Verifies W v_i = v_i and s_i W = s_i, and that exactly the two
-    largest eigenvalue moduli equal 1 within ``tol`` with the third
+    largest eigenvalue moduli equal 1 within 1e-10 with the third
     strictly below 1.
     """
     m = np.asarray(w, dtype=float)
@@ -331,8 +319,8 @@ def verify_eigenstructure(
     passed = (
         (np.maximum(*rres) < 1e-10)
         & (np.maximum(*lres) < 1e-10)
-        & (np.abs(top[0] - 1.0) < tol)
-        & (np.abs(top[1] - 1.0) < tol)
+        & (np.abs(top[0] - 1.0) < 1e-10)
+        & (np.abs(top[1] - 1.0) < 1e-10)
         & (top[2] < 1.0 - 1e-12)
     )
     return EigenstructureReport(

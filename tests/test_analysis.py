@@ -115,6 +115,24 @@ class TestSolveDiscreteLyapunov:
             self.assert_matches_references(m, 1e-8)
             self.assert_matches_references(rot @ m @ rot.T, 1e-8)
 
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_strongly_non_normal_refused_or_right(self, seed):
+        # as above at scale 10: Smith's rounding grows with the transient
+        # peak of ||W~^k|| (~1e5), past the residual gate; the solve may
+        # refuse, but a certificate it returns must be the right one
+        rng = np.random.default_rng(seed)
+        m = (np.triu(10.0 * rng.standard_normal((6, 6)), 1)
+             + np.diag(rng.uniform(-0.95, 0.95, 6)))
+        rot, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        m = rot @ m @ rot.T
+        try:
+            cert = ah.solve_discrete_lyapunov(m)
+        except LyapunovError:
+            return
+        ref = oracles.lyapunov_bilinear(m)
+        ref = 0.5 * (ref + ref.T)
+        assert np.linalg.norm(cert.p - ref) <= 1e-8 * np.linalg.norm(ref)
+
     def test_matches_direct_references_paper_modes(self):
         for num_pes, q, points in [(3, 2, 1), (6, 3, 1), (4, 3, 2),
                                    (10, 3, 1)]:

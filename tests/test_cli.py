@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -229,6 +230,28 @@ class TestExitCodes:
         assert code == EXIT_NUMERICAL
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "numerical"
+
+    def test_unstable_deflated_mode_exit_3(self, tmp_path, capsys,
+                                          monkeypatch):
+        # with a zero psi, W~_m keeps both unit eigenvalues; deflate only
+        # subtracts, and the certificate refuses it
+        from dataclasses import replace
+
+        from asyncheat import cli
+
+        real = cli.modes.build_projector
+
+        def zero_psi(aspec):
+            proj = real(aspec)
+            return replace(proj, psi=np.zeros_like(proj.psi))
+
+        monkeypatch.setattr(cli.modes, "build_projector", zero_psi)
+        path = write_config(tmp_path)
+        code = main(["analyze", "--config", path, "--out", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "numerical"
 
     def test_mean_rate_premise_checked_before_writing(
         self, tmp_path, capsys, monkeypatch
@@ -556,6 +579,23 @@ class TestPipeline:
         assert calls["mode_batches"] == 1
         assert calls["expected_matrix"] == 1
 
+    def test_certificate_makes_two_eigensolves(self, monkeypatch):
+        """One eigensolve per Lyapunov solve, W~_m's and Lambda's: deflate
+        only subtracts, and the certificate is W~_m's stability gate."""
+        from asyncheat import cli
+
+        pipe = cli.Pipeline(load_config(SMALL_VERIFY))
+        calls = []
+        real = np.linalg.eigvals
+
+        def counted(m):
+            calls.append(np.shape(m))
+            return real(m)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        pipe.certificate
+        assert len(calls) == 2
+
     def test_problem_built_once(self, tmp_path, monkeypatch):
         """load_config builds the one RunConfig that every stage reads."""
         from asyncheat import cli
@@ -588,6 +628,69 @@ class TestPipeline:
         assert (out / "exceedance.csv").exists()
         assert not (out / "rate_bound.csv").exists()
         assert not (out / "comparison.csv").exists()
+
+
+def test_writer_matches_a_csv_module_row_loop(tmp_path):
+    """Every CSV of ``simulate analyze compare`` on the small config is,
+    byte for byte, the same table written row by row by ``csv.writer``."""
+    from asyncheat import analysis, cli
+
+    pipe = cli.Pipeline(load_config(SMALL_VERIFY))
+    for command in ("simulate", "analyze", "compare"):
+        cli.COMMANDS[command](pipe, str(tmp_path))
+
+    fmt, steps, epsilons = cli._fmt, pipe.problem.steps, pipe.problem.epsilons
+    sync, ens = pipe.sync, pipe.ensemble
+    cert, contraction, _ = pipe.certificate
+
+    def step_rows(*columns):
+        return [[k, *(fmt(c[k]) for c in columns)] for k in range(steps + 1)]
+
+    def eps_rows(*curves):
+        return [[k, fmt(eps), *(fmt(c[j][k]) for c in curves)]
+                for j, eps in enumerate(epsilons) for k in range(steps + 1)]
+
+    mean_sq, k_fix = ens.mean_sq_error, pipe.cfg.sweep_step
+    sq_norms = ens.norms_at[k_fix] ** 2
+    compare = ["step", "epsilon", "empirical_probability",
+               "empirical_markov", "analytic_bound"]
+    rate_bound = analysis.convergence_rate_bound(
+        cert, float(np.linalg.norm(pipe.e0)), steps,
+        k_const=contraction.k_const)
+    tables = {
+        "sync_trajectory.csv": (
+            ["step", "error_norm", "inf_error"],
+            step_rows(sync.error_norms, sync.inf_norms)),
+        "sync_snapshots.csv": (
+            ["step", "point", "value"],
+            [[k, i + 1, fmt(v)] for k in sorted(sync.snapshots)
+             for i, v in enumerate(sync.snapshots[k])]),
+        "async_ensemble.csv": (
+            ["step", "mean_error_norm", "mean_sq_error", "max_inf_error"],
+            step_rows(ens.mean_error_norm, mean_sq, ens.max_inf_error)),
+        "exceedance.csv": (
+            ["step", "epsilon", "empirical_probability"],
+            eps_rows(ens.exceedance_table.T)),
+        "rate_bound.csv": (["step", "mean_error_bound"],
+                           step_rows(rate_bound)),
+        "prob_bound.csv": (["step", "epsilon", "bound"],
+                           eps_rows(pipe.error_bounds)),
+        "comparison.csv": (compare, eps_rows(
+            ens.exceedance_table.T,
+            [np.minimum(1.0, mean_sq / eps) for eps in epsilons],
+            pipe.error_bounds)),
+        "comparison_sweep.csv": (compare, [
+            [k_fix, fmt(eps), fmt((sq_norms > eps).mean()),
+             fmt(min(1.0, mean_sq[k_fix] / eps)),
+             fmt(pipe.error_bound(eps, k_fix)[k_fix])]
+            for eps in pipe.cfg.sweep_epsilons]),
+    }
+    for name, (header, rows) in tables.items():
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        assert (tmp_path / name).read_bytes() == want.getvalue().encode(), name
 
 
 class TestCliParsing:

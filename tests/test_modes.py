@@ -370,19 +370,21 @@ class TestDeflate:
         assert np.allclose(np.sort(survivors), kept, atol=1e-10)
         assert after[0] < 1e-10 and after[1] < 1e-10
 
-    def test_flags_non_stable_result(self, aspec32, modes32):
+    def test_certificate_refuses_a_zero_psi(self, aspec32, modes32):
+        # deflate only subtracts; the certificate is the stability gate,
+        # and W - 0 keeps both unit eigenvalues
         proj = ah.build_projector(aspec32)
         bad = ah.SteadyStateProjector(
             psi=np.zeros((6, 6)), v1=proj.v1, v2=proj.v2, s1=proj.s1, s2=proj.s2
         )
-        with pytest.raises(ah.DeflationError):
-            ah.deflate(modes32[0], bad)
+        with pytest.raises(ah.analysis.LyapunovError):
+            ah.solve_discrete_lyapunov(ah.deflate(modes32[0], bad))
 
     def test_spectral_radius_of_large_non_normal_matrix(self):
         # highly non-normal: the norms of its powers grow long before
         # they decay, so they say little about rho = 0.5
         m = np.diag(np.full(600, 0.5)) + np.diag(np.full(599, 2.0), 1)
-        assert ah.modes.spectral_radius(m) == pytest.approx(0.5, abs=1e-12)
+        assert ah.analysis.spectral_radius(m) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestExpectedMatrix:
