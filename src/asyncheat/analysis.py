@@ -259,15 +259,18 @@ def _walk(w_tilde: np.ndarray, horizon: int):
     is carried to the ring's tail. A yielded power is a view, valid until
     the walk moves on.
     """
-    import scipy.sparse  # kept off the CLI's import path
-    # the kernel of a CSR @ dense product, which adds into a given array
-    from scipy.sparse._sparsetools import csr_matvecs
+    # the kernel of a CSR @ dense product, which adds into a given array;
+    # imported here to keep the extension off the CLI's path
+    from ._csr import csr_matvecs
     dim = w_tilde.shape[0]
     keep = w_tilde.any(axis=1)
     later = w_tilde.copy()
     later[:, ~keep] = 0.0
     n = _head_rows(later, keep)
-    head = scipy.sparse.csr_array(later[:n])
+    # the head rows in CSR form, their nonzero entries in row-major order
+    entries = np.nonzero(later[:n])
+    indptr = np.searchsorted(entries[0], np.arange(n + 1))
+    indices, data = entries[1], later[entries]
     tail = _RING_HEADS * n  # where W~^1, and each carried power, sits
     ring = np.empty((tail + dim, dim))
     yield 0, np.eye(dim), dim
@@ -282,7 +285,7 @@ def _walk(w_tilde: np.ndarray, horizon: int):
             top = tail
         rows = ring[top - n:top]
         rows.fill(0.0)
-        csr_matvecs(n, dim, dim, head.indptr, head.indices, head.data,
+        csr_matvecs(n, dim, dim, indptr, indices, data,
                     ring[top:top + dim].reshape(-1), rows.reshape(-1))
         top -= n
         yield k, ring[top:top + dim], n

@@ -105,8 +105,8 @@ class _StencilPlan:
 
     def __init__(self, aspec: AugmentedSpec, runs: int, rows: int):
         # the kernel of a CSR matrix-vector product, which adds into its
-        # output; imported here to keep scipy.sparse off the CLI's path
-        from scipy.sparse._sparsetools import csr_matvec
+        # output; imported here to keep the extension off the CLI's path
+        from ._csr import csr_matvec
         self.matvec = csr_matvec
         g = aspec.grid
         nn = g.total_points

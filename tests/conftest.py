@@ -1,11 +1,29 @@
 """Shared fixtures; the flagship N=100, q=3 ensemble is built once per session."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import asyncheat as ah
+
+
+def fresh_interpreter(code: str, *args: str) -> str:
+    """stdout of ``code`` run by a new interpreter from the repo root,
+    importing this checkout's asyncheat."""
+    src = str(Path(ah.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], cwd=Path(__file__).resolve().parents[1],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return out.stdout
 
 
 def exact_spec(num_pes: int, points_per_pe: int = 1, r: float = 0.5) -> ah.GridSpec:

@@ -2,10 +2,6 @@ import csv
 import io
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +16,8 @@ from asyncheat.cli import (
     load_config,
     main,
 )
+from conftest import fresh_interpreter
 
-REPO = Path(__file__).resolve().parents[1]
 SMALL_VERIFY = "configs/small_verify.json"
 
 BASE_CONFIG = {
@@ -708,27 +704,15 @@ class TestCliParsing:
             main(["simulate"])
 
 
-def _fresh_interpreter(code: str, *args: str) -> str:
-    """stdout of ``code`` run by a new interpreter from the repo root."""
-    src = str(Path(asyncheat.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code, *args], cwd=REPO, env=env,
-        capture_output=True, text=True, check=True,
-    )
-    return out.stdout
-
-
-@pytest.mark.parametrize("module", ["scipy.sparse", "scipy.linalg"])
+@pytest.mark.parametrize("module",
+                         ["scipy.sparse", "scipy.linalg", "asyncheat._csr"])
 def test_import_does_not_load_scipy(module):
-    """scipy loads with the first stage that uses it, not with the CLI
-    module or the config load (the code perfbench's setup_s times)."""
+    """The CSR kernels load with the first stage that uses them, not with
+    the CLI module or the config load (the code perfbench's setup_s
+    times)."""
     code = ("import sys, asyncheat.cli as cli; cli.load_config(sys.argv[1]); "
             "print(sys.argv[2] in sys.modules)")
-    assert _fresh_interpreter(code, SMALL_VERIFY, module).strip() == "False"
+    assert fresh_interpreter(code, SMALL_VERIFY, module).strip() == "False"
 
 
 def test_verify_and_simulate_do_not_load_scipy_linalg(tmp_path):
@@ -742,21 +726,29 @@ def test_verify_and_simulate_do_not_load_scipy_linalg(tmp_path):
         "print('scipy.linalg loaded:', 'scipy.linalg' in sys.modules)\n"
         "assert cli.main(['analyze', '--config', config, '--out', out]) == 0\n"
     )
-    out = _fresh_interpreter(code, SMALL_VERIFY, str(tmp_path))
+    out = fresh_interpreter(code, SMALL_VERIFY, str(tmp_path))
     assert "scipy.linalg loaded: False" in out.splitlines()
     assert (tmp_path / "certificate.json").exists()
 
 
-def test_no_command_loads_scipy_linalg(tmp_path):
-    """The whole pipeline runs on numpy's linear algebra: the Lyapunov
-    solves are squared Smith, and the SVDs numpy's."""
+@pytest.mark.parametrize("module", ["scipy.linalg", "scipy.sparse"])
+def test_no_command_loads_scipy(module, tmp_path):
+    """The whole pipeline runs on numpy's linear algebra and two compiled
+    CSR kernels: the Lyapunov solves are squared Smith, the SVDs numpy's,
+    and the kernels load without their package. The package still imports
+    after them, and makes the kernels' extension its own attribute."""
     code = (
         "import sys, asyncheat.cli as cli\n"
-        "config, out = sys.argv[1:]\n"
+        "config, out, module = sys.argv[1:]\n"
         "assert cli.main(['simulate', 'analyze', 'compare', 'verify',\n"
         "                 '--config', config, '--out', out]) == 0\n"
-        "print('scipy.linalg loaded:', 'scipy.linalg' in sys.modules)\n"
+        "print('loaded:', module in sys.modules)\n"
+        "import numpy as np, scipy.sparse\n"
+        "x = np.arange(3.0)\n"
+        "assert (scipy.sparse.csr_array(np.diag(x)) @ x).tolist() == [0, 1, 4]\n"
+        "name = 'scipy.sparse._sparsetools'\n"
+        "assert scipy.sparse._sparsetools is sys.modules[name]\n"
     )
-    out = _fresh_interpreter(code, SMALL_VERIFY, str(tmp_path))
-    assert "scipy.linalg loaded: False" in out.splitlines()
+    out = fresh_interpreter(code, SMALL_VERIFY, str(tmp_path), module)
+    assert "loaded: False" in out.splitlines()
     assert (tmp_path / "certificate.json").exists()

@@ -14,7 +14,7 @@ from asyncheat import sim
 from asyncheat.grid import steady_state_profile
 from asyncheat.modes import mode_product
 from asyncheat.sim import run_seed_sequence
-from conftest import exact_spec
+from conftest import exact_spec, fresh_interpreter
 from oracles import init_state, run_trajectory, sample_delays
 
 
@@ -718,6 +718,43 @@ class TestStencilKernel:
         allocated."""
         assert sim._index_dtype(2**31 - 1) is np.int32
         assert sim._index_dtype(2**31) is np.intp
+
+    def test_missing_extension_names_the_directory(self):
+        """Without scipy's _sparsetools file, building a plan raises an
+        ImportError that says where the file was looked for."""
+        import scipy
+        out = fresh_interpreter(
+            "import importlib.machinery as m\n"
+            "find_spec = m.PathFinder.find_spec\n"
+            "def hide(name, path=None, target=None):\n"
+            "    if name == 'scipy.sparse._sparsetools':\n"
+            "        return None\n"
+            "    return find_spec(name, path, target)\n"
+            "m.PathFinder.find_spec = hide\n"
+            "import asyncheat as ah\n"
+            "from asyncheat import sim\n"
+            "spec = ah.GridSpec(num_pes=4, points_per_pe=1, dx=1.0, dt=0.5,\n"
+            "                   alpha=1.0)\n"
+            "try:\n"
+            "    sim._StencilPlan(ah.AugmentedSpec(grid=spec, buffer_len=2),\n"
+            "                     1, 3)\n"
+            "except ImportError as exc:\n"
+            "    print(exc)\n"
+        )
+        where = os.path.join(os.path.dirname(scipy.__file__), "sparse")
+        assert out.strip().endswith(f" in {where}")
+
+    def test_kernels_after_the_package_are_the_package_extension(self):
+        """Loaded after scipy.sparse, the kernels come from the package's
+        own module, which stays the package's."""
+        fresh_interpreter(
+            "import sys, scipy.sparse\n"
+            "from asyncheat import _csr\n"
+            "loaded = sys.modules['scipy.sparse._sparsetools']\n"
+            "assert scipy.sparse._sparsetools is loaded is _csr._sparsetools\n"
+            "assert _csr.csr_matvec is loaded.csr_matvec\n"
+        )
+
 
 
 class TestStreamedTables:
