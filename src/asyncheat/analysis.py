@@ -260,7 +260,8 @@ def _walk(w_tilde: np.ndarray, horizon: int):
     the walk moves on.
     """
     # the kernel of a CSR @ dense product, which adds into a given array;
-    # imported here to keep the extension off the CLI's path
+    # imported here only to keep ``import asyncheat`` light, since every
+    # command loads it
     from ._csr import csr_matvecs
     dim = w_tilde.shape[0]
     keep = w_tilde.any(axis=1)

@@ -23,7 +23,7 @@ on how the runs are batched or split over threads.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -105,7 +105,8 @@ class _StencilPlan:
 
     def __init__(self, aspec: AugmentedSpec, runs: int, rows: int):
         # the kernel of a CSR matrix-vector product, which adds into its
-        # output; imported here to keep the extension off the CLI's path
+        # output; imported here only to keep ``import asyncheat`` light,
+        # since every command loads it
         from ._csr import csr_matvec
         self.matvec = csr_matvec
         g = aspec.grid
@@ -588,33 +589,25 @@ def run_ensemble(cfg: RunConfig, num_runs: int, workers: int = 1,
 def run_sync_reference(cfg: RunConfig, snapshot_steps=()) -> Trajectory:
     """Synchronous reference U(k+1) = A U(k), errors against the ramp.
 
-    Each step is the simulator's own ``_advance`` at q = 1, every edge
-    read at delay 0, so the states and inf norms are the simulator's at
-    q = 1 bit for bit, at every r and on every CPU. The error norm is
-    ``np.linalg.norm``, a BLAS ``ddot``, so its last bit can change with
-    the kernel that OpenBLAS picks for the CPU.
+    It is the engine's one-run batch at q = 1 (``_simulate_batch`` in its
+    per-run mode), where every edge reads at delay 0, so the states, inf
+    norms and snapshots are the simulator's at q = 1 bit for bit, at every
+    r and on every CPU. With one run, the engine's error sum at step k is
+    u(k) - ramp bit for bit; its error norm is ``np.linalg.norm`` of that
+    row, a BLAS ``ddot``, so its last bit can change with the kernel that
+    OpenBLAS picks for the CPU.
     """
-    aspec = AugmentedSpec(cfg.aspec.grid, buffer_len=1)
-    plan = _StencilPlan(aspec, 1, 2)
-    delays = np.zeros((1, aspec.num_edges), dtype=np.uint8)
-    ring = np.empty((2, 1, aspec.grid.total_points))  # (new, previous)
-    ring[0] = cfg.initial
-    u = ring[0, 0]  # the newest state
-    ramp = steady_state_profile(cfg.aspec.grid, cfg.bc)
     steps = cfg.steps
-    error_norms = np.empty(steps + 1)
-    inf_norms = np.empty(steps + 1)
     snapshot_steps = set(snapshot_steps)
-    snapshots: dict[int, np.ndarray] = {}
-    for k in range(steps + 1):
-        err = u - ramp
-        error_norms[k] = np.linalg.norm(err)
-        inf_norms[k] = np.abs(err).max()
-        if k in snapshot_steps:
-            snapshots[k] = u.copy()
-        if k < steps:
-            ring[1] = ring[0]
-            _advance(ring, 0, delays, plan)
+    if any(not 0 <= k <= steps for k in snapshot_steps):
+        raise ValueError(f"snapshot_steps must lie in [0, {steps}]")
+    aspec = AugmentedSpec(cfg.aspec.grid, 1)
+    sync = replace(cfg, aspec=aspec, dist=SwitchingDistribution.uniform(aspec))
+    _, inf_norms, err, _, snapshots = _simulate_batch(
+        sync, [cfg.seed], snapshot_steps
+    )
     return Trajectory(
-        error_norms=error_norms, inf_norms=inf_norms, snapshots=snapshots
+        error_norms=np.array([np.linalg.norm(e) for e in err]),
+        inf_norms=inf_norms[0],
+        snapshots=snapshots,
     )

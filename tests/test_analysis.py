@@ -14,6 +14,7 @@ from asyncheat.analysis import (
     TailConstants,
     _top_singular_value,
 )
+from asyncheat.modes import mode_batches
 from conftest import exact_spec
 import oracles
 
@@ -208,6 +209,27 @@ class TestConvergenceRateBound:
         bound = ah.convergence_rate_bound(cert, 1.0, 10, k_const=1.0)
         ratio = bound[1:] / bound[:-1]
         assert np.allclose(ratio, np.sqrt(cert.rate), rtol=1e-12)
+
+    def test_rate_is_not_a_per_path_rate(self):
+        """P_m's rate holds for W_m, not for every mode: at N=5, q=3,
+        r = 1/2, every other mode stretches the P_m-norm of some error,
+        by up to 1.52x. So the rate bounds a path only through the mean,
+        under analyze's premise check."""
+        aspec = ah.AugmentedSpec(grid=exact_spec(5), buffer_len=3)
+        proj = ah.build_projector(aspec)
+        cert = ah.solve_discrete_lyapunov(
+            ah.deflate(ah.worst_case_mode(aspec), proj))
+        # ||W~ e||_P / ||e||_P at its largest, with P = L L'
+        lt = np.linalg.cholesky(cert.p).T
+        delays, w = map(np.concatenate,
+                        zip(*mode_batches(aspec, aspec.mode_count)))
+        gains = np.linalg.svd(lt @ ah.deflate(w, proj) @ np.linalg.inv(lt),
+                              compute_uv=False)[:, 0]
+        stretch = gains > 1
+        assert len(gains) == 729 and stretch.sum() == 728
+        assert (delays[~stretch] == 2).all()  # W_m alone contracts
+        assert gains[~stretch] ** 2 == pytest.approx(cert.rate, rel=1e-12)
+        assert gains.max() == pytest.approx(1.518, abs=1e-3)
 
 
 class TestExactMeanCurve:

@@ -899,19 +899,45 @@ class TestBlockZeroViews:
         assert np.array_equal(res.var_error, var)
 
 
+# the engine's window edges, as (id prefix, fold settings, steps)
+_SYNC_WINDOWS = [
+    ("", {}, 30),
+    # _FOLD_BYTES = 0 gives window = 1: every step starts a window
+    ("window1-", dict(_FOLD_BYTES=0), 30),
+    # the last fold window is a partial one
+    ("fold-", {}, 3 * sim._FOLD_STEPS + 5),
+    # the 256-step sampling chunk wraps
+    ("chunk-", {}, 300),
+]
+
+
 class TestSyncReference:
-    @pytest.mark.parametrize("r", [0.5, 0.4])
-    def test_error_matches_matrix_powers(self, r):
+    @pytest.mark.parametrize(
+        "r, fold, steps",
+        [pytest.param(r, fold, steps, id=f"{prefix}{r}")
+         for prefix, fold, steps in _SYNC_WINDOWS for r in (0.5, 0.4)],
+    )
+    def test_error_matches_matrix_powers(self, monkeypatch, r, fold, steps):
         """Each row of A summed in grid-position order, as the simulator
         sums it."""
-        cfg = make_config(num_pes=6, q=2, steps=30, r=r)
-        traj = ah.run_sync_reference(cfg)
+        for name, value in fold.items():
+            monkeypatch.setattr(sim, name, value)
+        cfg = make_config(num_pes=6, q=2, steps=steps, r=r)
+        traj = ah.run_sync_reference(cfg, snapshot_steps=range(steps + 1))
         a = ah.build_sync_matrix(cfg.aspec.grid)
         ramp = ah.steady_state_profile(cfg.aspec.grid, cfg.bc)
         u = cfg.initial.copy()
-        for k in range(31):
+        for k in range(steps + 1):
+            assert np.array_equal(traj.snapshots[k], u)
+            assert traj.inf_norms[k] == np.abs(u - ramp).max()
             assert traj.error_norms[k] == np.linalg.norm(u - ramp)
             u = mode_product(a, u, 1)
+
+    def test_rejects_snapshot_steps_outside_the_run(self):
+        cfg = make_config(num_pes=6, q=2, steps=30)
+        with pytest.raises(ValueError,
+                           match=r"snapshot_steps must lie in \[0, 30\]"):
+            ah.run_sync_reference(cfg, snapshot_steps=(-1, 10, 31))
 
 
 # the sync reference at N=100, r = 0.4 under one OpenBLAS kernel: the
